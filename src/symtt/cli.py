@@ -51,8 +51,8 @@ class Report:
 
 def _model_params(args) -> dict:
     params = {}
-    for key, attr in (("jx", "jx"), ("jy", "jy"), ("jz", "jz"), ("lam", "lam"), ("theta", "theta")):
-        val = getattr(args, attr, None)
+    for key in ("jx", "jy", "jz", "lam", "theta"):
+        val = getattr(args, key, None)
         if val is not None:
             params[key] = val
     return params
@@ -62,9 +62,9 @@ def _spec_from_args(args) -> hamiltonian.HamiltonianSpec:
     return hamiltonian.model(args.model, args.p, _model_params(args), boundary=args.bc)
 
 
-def _add_model_args(sub) -> None:
-    sub.add_argument("--model", required=True, choices=hamiltonian.MODEL_NAMES)
-    sub.add_argument("--p", type=int, required=True)
+def _add_model_args(sub, required: bool) -> None:
+    sub.add_argument("--model", required=required, choices=hamiltonian.MODEL_NAMES)
+    sub.add_argument("--p", type=int, required=required)
     sub.add_argument("--jx", type=float)
     sub.add_argument("--jy", type=float)
     sub.add_argument("--jz", type=float)
@@ -320,17 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     ham = groups.add_parser("ham", help="Hamiltonian builders").add_subparsers(dest="verb", required=True)
     sub = ham.add_parser("build")
-    _add_model_args(sub)
+    _add_model_args(sub, required=True)
     sub.add_argument("--out", required=True)
     sub = ham.add_parser("certify")
     sub.add_argument("matrix", nargs="?", help="MAT1 file; omit to certify a model")
-    _add_model_args_optional(sub)
+    _add_model_args(sub, required=False)
     sub.add_argument("--tol", type=float, default=structured.EPS_STRUCT)
     sub = ham.add_parser("spectrum")
-    _add_model_args(sub)
+    _add_model_args(sub, required=True)
     sub.add_argument("--out")
     sub = ham.add_parser("ground")
-    _add_model_args(sub)
+    _add_model_args(sub, required=True)
     sub.add_argument("--out")
 
     mpsg = groups.add_parser("mps", help="matrix product state operations").add_subparsers(dest="verb", required=True)
@@ -407,21 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_model_args_optional(sub) -> None:
-    sub.add_argument("--model", choices=hamiltonian.MODEL_NAMES)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--jx", type=float)
-    sub.add_argument("--jy", type=float)
-    sub.add_argument("--jz", type=float)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--theta", type=float)
-    sub.add_argument("--bc", choices=("open", "periodic"), default="open")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    np.random.seed(args.seed)
     rep = Report()
     try:
         if args.group == "ham":

@@ -39,14 +39,21 @@ _SPIN1 = {
     "i": np.eye(3, dtype=np.complex128),
 }
 
-MODEL_NAMES = (
-    "ising_zz",
-    "heis_xx",
-    "heis_xy",
-    "heis_xz",
-    "heis_xxx",
-    "heis_xxz",
-    "heis_xyz",
+#: spin-1/2 chain models: the (Pauli axis, coupling key) of each bond sum, in
+#: term order; every one of them ends with the x field of strength lam
+_CHAIN_MODELS = {
+    "ising_zz": (("z", "jz"),),
+    "heis_xx": (("x", "jx"), ("y", "jx")),
+    "heis_xy": (("x", "jx"), ("y", "jy")),
+    "heis_xz": (("x", "jx"), ("z", "jz")),
+    "heis_xxx": (("x", "jx"), ("y", "jx"), ("z", "jx")),
+    "heis_xxz": (("x", "jx"), ("y", "jx"), ("z", "jz")),
+    "heis_xyz": (("x", "jx"), ("y", "jy"), ("z", "jz")),
+}
+
+TABLE_MODELS = tuple(_CHAIN_MODELS)
+
+MODEL_NAMES = TABLE_MODELS + (
     "hx",
     "hy",
     "hz",
@@ -56,8 +63,6 @@ MODEL_NAMES = (
     "aklt",
     "bilinear_biquadratic",
 )
-
-TABLE_MODELS = MODEL_NAMES[:7]
 
 
 def pauli(name: str) -> np.ndarray:
@@ -189,56 +194,19 @@ def model(name: str, p: int, params: dict | None = None, boundary: str = "open")
     for key, val in params.items():
         if not math.isfinite(float(val)):
             raise BadParamsError(f"parameter {key} must be finite")
-    jx = float(params.get("jx", 1.0))
-    jy = float(params.get("jy", 1.0))
-    jz = float(params.get("jz", 1.0))
+    coupling = {key: float(params.get(key, 1.0)) for key in ("jx", "jy", "jz")}
     theta = float(params.get("theta", 0.0))
 
-    px, py, pz = pauli("x"), pauli("y"), pauli("z")
     terms: list[LocalTermSpec] = []
     d = 2
-    if name == "ising_zz":
-        lam = float(params.get("lam", 0.0))
-        terms += _pair_sum(p, boundary, pz, jz)
-        terms += _field_sum(p, px, lam)
-    elif name == "heis_xx":
-        lam = float(params.get("lam", 0.0))
-        terms += _pair_sum(p, boundary, px, jx)
-        terms += _pair_sum(p, boundary, py, jx)
-        terms += _field_sum(p, px, lam)
-    elif name == "heis_xy":
-        lam = float(params.get("lam", 0.0))
-        terms += _pair_sum(p, boundary, px, jx)
-        terms += _pair_sum(p, boundary, py, jy)
-        terms += _field_sum(p, px, lam)
-    elif name == "heis_xz":
-        lam = float(params.get("lam", 0.0))
-        terms += _pair_sum(p, boundary, px, jx)
-        terms += _pair_sum(p, boundary, pz, jz)
-        terms += _field_sum(p, px, lam)
-    elif name == "heis_xxx":
-        lam = float(params.get("lam", 0.0))
-        for op in (px, py, pz):
-            terms += _pair_sum(p, boundary, op, jx)
-        terms += _field_sum(p, px, lam)
-    elif name == "heis_xxz":
-        lam = float(params.get("lam", 0.0))
-        terms += _pair_sum(p, boundary, px, jx)
-        terms += _pair_sum(p, boundary, py, jx)
-        terms += _pair_sum(p, boundary, pz, jz)
-        terms += _field_sum(p, px, lam)
-    elif name == "heis_xyz":
-        lam = float(params.get("lam", 0.0))
-        terms += _pair_sum(p, boundary, px, jx)
-        terms += _pair_sum(p, boundary, py, jy)
-        terms += _pair_sum(p, boundary, pz, jz)
-        terms += _field_sum(p, px, lam)
+    if name in _CHAIN_MODELS:
+        for axis, key in _CHAIN_MODELS[name]:
+            terms += _pair_sum(p, boundary, pauli(axis), coupling[key])
+        terms += _field_sum(p, pauli("x"), float(params.get("lam", 0.0)))
     elif name in ("hx", "hy", "hz"):
-        lam = float(params.get("lam", 1.0))
-        terms += _field_sum(p, pauli(name[1]), lam)
+        terms += _field_sum(p, pauli(name[1]), float(params.get("lam", 1.0)))
     elif name in ("hxx", "hyy", "hzz"):
-        coeff = {"hxx": jx, "hyy": jy, "hzz": jz}[name]
-        terms += _pair_sum(p, boundary, pauli(name[1]), coeff)
+        terms += _pair_sum(p, boundary, pauli(name[1]), coupling["j" + name[1]])
     elif name == "aklt":
         d = 3
         terms += _spin1_bond_terms(p, boundary, 1.0, 1.0 / 3.0)

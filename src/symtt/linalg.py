@@ -125,6 +125,15 @@ def rank_from_sigma(sigma: np.ndarray, tol: float = 0.0) -> int:
     return max(1, int(np.sum(sigma > cutoff)))
 
 
+def split(a, tol: float = 0.0, d_max: int | None = None) -> SvdResult:
+    """Thin SVD cut to rank_from_sigma(sigma, tol) columns, at most d_max."""
+    u, s, vh = svd(a)
+    r = rank_from_sigma(s, tol)
+    if d_max is not None:
+        r = min(r, d_max)
+    return SvdResult(u[:, :r], s[:r], vh[:r])
+
+
 def eigh(a) -> EighResult:
     """Hermitian eigendecomposition, eigenvalues ascending.
 

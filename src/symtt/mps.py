@@ -9,6 +9,10 @@ Conventions used throughout:
   D_1 = D_{p+1} = 1, periodic means D_1 = D_{p+1} (trace then matters);
 * "left gauge" at a site: A0^H A0 + A1^H A1 = I; "right gauge":
   A0 A0^H + A1 A1^H = I.
+
+Every contraction to components (``eval_component``, ``to_vector`` and the
+reverse normal form's vector) goes through one fold, ``_contract``; every
+rank cut (TT-SVD, sweeps, truncation) goes through ``linalg.split``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from .linalg import EPS_RANK, as_cvector, dagger, frob, svd
+from .linalg import as_cvector, dagger, frob, split, svd
 
 #: evaluation guard
 MAX_VECTOR_DIM = 2**20
@@ -79,29 +83,35 @@ class MPSState:
         return f"MPSState(p={self.p}, boundary={self.boundary!r}, dims={self.dims})"
 
 
+def _contract(choices) -> np.ndarray:
+    """Traces of all products C_1 C_2 ... C_p, C_j taken from ``choices[j]``.
+
+    ``choices[j]`` stacks the k_j candidate matrices of site j as an array of
+    shape (k_j, D_j, D_{j+1}).  The fold runs from the right, one stacked
+    matmul per site, so the site-1 choice varies slowest in the result (the
+    binary index convention when every k_j = 2).
+    """
+    d = choices[-1].shape[2]
+    acc = np.eye(d, dtype=np.complex128)[None]
+    for c in reversed(choices):
+        acc = np.matmul(c[:, None], acc[None]).reshape(-1, c.shape[1], d)
+    return np.trace(acc, axis1=1, axis2=2)
+
+
 def eval_component(m: MPSState, bits) -> complex:
     """Trace of the site-matrix product selected by ``bits``."""
     bits = list(bits)
     if len(bits) != m.p:
         raise ShapeMismatchError(f"need {m.p} bits, got {len(bits)}")
-    prod = np.eye(m.sites[0][0].shape[0], dtype=np.complex128)
-    for (a0, a1), b in zip(m.sites, bits):
-        prod = prod @ (a1 if int(b) else a0)
-    return complex(np.trace(prod))
+    picked = [(a1 if int(b) else a0)[None] for (a0, a1), b in zip(m.sites, bits)]
+    return complex(_contract(picked)[0])
 
 
 def to_vector(m: MPSState) -> np.ndarray:
     """Dense vector of all 2^p components, index bit i_1 most significant."""
-    n = 2**m.p
-    if n > MAX_VECTOR_DIM:
+    if 2**m.p > MAX_VECTOR_DIM:
         raise TooLargeError(f"dense evaluation of 2^{m.p} components exceeds the guard")
-    # suffix products: after step j the list holds A_j^(i_j) ... A_p^(i_p)
-    suffix = [np.eye(m.sites[-1][0].shape[1], dtype=np.complex128)]
-    for a0, a1 in reversed(m.sites):
-        suffix = [a @ s for a in (a0, a1) for s in suffix]
-    # suffix index ordering: the site-1 bit varies slowest, matching the
-    # binary index convention
-    return np.array([np.trace(s) for s in suffix], dtype=np.complex128)
+    return _contract([np.stack(pair) for pair in m.sites])
 
 
 def _tt_cores(x: np.ndarray, tol: float) -> tuple[list, list]:
@@ -116,12 +126,9 @@ def _tt_cores(x: np.ndarray, tol: float) -> tuple[list, list]:
     for _ in range(p - 1):
         rows = c.shape[0]
         c = c.reshape(rows * 2, -1)
-        u, s, vh = svd(c)
+        u, s, vh = split(c, tol)
         if s[0] == 0.0:
             raise ZeroVectorError("vector must be nonzero")
-        cutoff = max(tol, EPS_RANK) * s[0]
-        r = max(1, int(np.sum(s > cutoff)))
-        u, s, vh = u[:, :r], s[:r], vh[:r]
         # row index of c is (bond, bit) with the bit fastest, so the two
         # site matrices are the even/odd row slices of u
         sites.append((u[0::2].copy(), u[1::2].copy()))
@@ -284,9 +291,7 @@ def _sweep_pair(left_pair, right_pair, direction: str):
     a0, a1 = left_pair
     b0, b1 = right_pair
     t = np.block([[a0 @ b0, a0 @ b1], [a1 @ b0, a1 @ b1]])
-    u, s, vh = svd(t)
-    r = max(1, int(np.sum(s > EPS_RANK * s[0]))) if s[0] > 0 else 1
-    u, s, vh = u[:, :r], s[:r], vh[:r]
+    u, s, vh = split(t)
     dl, dr = a0.shape[0], b0.shape[1]
     if direction == "left":
         carry = s[:, None] * vh
@@ -367,7 +372,9 @@ def truncate(m: MPSState, d_max: int | None = None, tol: float = 0.0) -> MPSStat
 
     The chain is right-normalized first, so the values discarded at each bond
     are the Schmidt coefficients there and the squared vector error is bounded
-    by the sum of discarded squares.
+    by the sum of discarded squares.  Like ``from_vector``, the cutoff never
+    drops below EPS_RANK: even with tol = 0, Schmidt values at or below
+    1e-12 * sigma_1 are discarded.
     """
     if m.boundary != "open":
         raise GaugeViolationError("truncate is defined for open chains")
@@ -377,14 +384,7 @@ def truncate(m: MPSState, d_max: int | None = None, tol: float = 0.0) -> MPSStat
     pairs = [(a0.copy(), a1.copy()) for a0, a1 in state.sites]
     for j in range(len(pairs) - 1):
         a0, a1 = pairs[j]
-        stack = np.vstack([a0, a1])
-        u, s, vh = svd(stack)
-        r = len(s)
-        if s[0] > 0.0 and tol > 0.0:
-            r = max(1, int(np.sum(s > tol * s[0])))
-        if d_max is not None:
-            r = min(r, d_max)
-        u, s, vh = u[:, :r], s[:r], vh[:r]
+        u, s, vh = split(np.vstack([a0, a1]), tol, d_max)
         d = a0.shape[0]
         pairs[j] = _split_rows(u, d)
         carry = s[:, None] * vh

@@ -382,25 +382,23 @@ class ReverseNormalForm:
         d = stacked.shape[0] // 2
         return stacked[d:] if bit else stacked[:d]
 
-    def to_vector(self) -> np.ndarray:
-        half = self.p // 2
-        odd = bool(self.p % 2)
-        d1 = self.us[0].shape[0] // 2
+    def state(self) -> MPSState:
+        """The form as a periodic chain: U_1 .. U_m (and U_{m+1} for odd p),
+        then the mirrored adjoints U_m^H .. U_1^H, with Sigma folded into the
+        first mirrored site and Lambda into the last."""
         sig = np.diag(self.sigma.astype(np.complex128))
         lam = np.diag(self.lam.astype(np.complex128))
-        out = np.empty(2**self.p, dtype=np.complex128)
-        for idx in range(2**self.p):
-            bits = [(idx >> (self.p - 1 - k)) & 1 for k in range(self.p)]
-            mat = np.eye(d1, dtype=np.complex128)
-            for j in range(half):
-                mat = mat @ self.factor(j, bits[j])
-            if odd:
-                mat = mat @ self.factor(half, bits[half])
-            mat = mat @ sig
-            for j in range(half - 1, -1, -1):
-                mat = mat @ dagger(self.factor(j, bits[self.p - 1 - j]))
-            out[idx] = np.trace(mat @ lam)
-        return out
+        ascending = [(self.factor(j, 0), self.factor(j, 1)) for j in range(len(self.us))]
+        mirrored = [(dagger(a0), dagger(a1)) for a0, a1 in ascending[: self.p // 2][::-1]]
+        if not mirrored:  # p = 1: the interior factor carries both diagonals
+            ascending[0] = tuple(a @ sig @ lam for a in ascending[0])
+        else:
+            mirrored[0] = tuple(sig @ a for a in mirrored[0])
+            mirrored[-1] = tuple(a @ lam for a in mirrored[-1])
+        return MPSState(ascending + mirrored, boundary="periodic")
+
+    def to_vector(self) -> np.ndarray:
+        return to_vector(self.state())
 
 
 def reverse_normal_form(x, tol: float = EPS_SYM) -> ReverseNormalForm:
@@ -534,7 +532,7 @@ def bitflip_normal_form(m: MPSState, w: SymmetryWitness, tol: float = EPS_SYM) -
     relations use only +-1 diagonal witnesses; the vector is preserved."""
     if w.kind != "bitflip" or w.matrices is None:
         raise WitnessViolationError("need a bitflip witness with matrices")
-    rep = verify_relation(m, w, tol=tol)
+    rep = verify_relation(m, w)
     if rep.max_residual > tol * _state_scale(m):
         raise WitnessViolationError(
             f"witness relations fail on the input (residual {rep.max_residual:.2e})"
@@ -637,16 +635,14 @@ def _witness_list(w: SymmetryWitness, p: int) -> list[np.ndarray]:
     return [np.asarray(u, dtype=np.complex128) for u in w.matrices]
 
 
-def verify_relation(m: MPSState, w: SymmetryWitness, tol: float = EPS_SYM) -> RelationReport:
+def verify_relation(m: MPSState, w: SymmetryWitness) -> RelationReport:
     """Frobenius residuals of the defining site relations of a witness.
 
     Reverse witnesses additionally report the consistency residuals
     S_j^H = S_{p-j} (with S_0 = S_p).  Shape-incompatible witnesses raise
-    ShapeMismatchError; mere numeric violation only shows in the report.
-    ``tol`` is unused here and kept for interface symmetry with the callers
-    that threshold the report.
+    ShapeMismatchError; mere numeric violation only shows in the report,
+    which callers threshold themselves.
     """
-    del tol
     p = m.p
     kind = w.kind
     res: list[float] = []

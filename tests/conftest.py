@@ -44,3 +44,14 @@ def random_mps(rng, p, d, boundary="open"):
         for j in range(p)
     ]
     return MPSState(sites, boundary=boundary)
+
+
+def brute_force_vector(m):
+    """Oracle: every component as its own left-to-right product and trace."""
+    out = np.empty(2**m.p, dtype=complex)
+    for idx in range(2**m.p):
+        prod = np.eye(m.dims[0], dtype=complex)
+        for j, pair in enumerate(m.sites):
+            prod = prod @ pair[(idx >> (m.p - 1 - j)) & 1]
+        out[idx] = np.trace(prod)
+    return out

@@ -148,9 +148,10 @@ def test_cli_deterministic_output(tmp_path):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     write_vec(vec, x)
+    out = tmp_path / "m.mps"
     outs = []
-    for run in range(2):
-        out = tmp_path / f"m{run}.mps"
+    stdouts = []
+    for _ in range(2):
         code = subprocess.run(
             [sys.executable, "-m", "symtt.cli", "--seed", "0", "mps", "from-vector", str(vec), "--out", str(out)],
             capture_output=True,
@@ -158,8 +159,9 @@ def test_cli_deterministic_output(tmp_path):
         )
         assert code.returncode == 0
         outs.append(out.read_bytes())
-        assert code.stdout == code.stdout  # stdout captured per run below
+        stdouts.append(code.stdout)
     assert outs[0] == outs[1]
+    assert stdouts[0] == stdouts[1]
 
 
 def test_cli_sym_construct_verify(tmp_path, capsys, rng):

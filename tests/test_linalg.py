@@ -4,7 +4,7 @@ import pytest
 from symtt import EPS_LIN, eigh, exchange_matrix, fourier_matrix, kron, schur, svd
 from symtt.errors import NotHermitianError
 from symtt.hamiltonian import pauli
-from symtt.linalg import dagger, frob, rank_from_sigma
+from symtt.linalg import dagger, frob, rank_from_sigma, split
 
 from conftest import random_complex, random_hermitian
 
@@ -80,6 +80,21 @@ def test_rank_cutoff():
     assert rank_from_sigma(np.array([1.0, 0.5, 1e-14])) == 2
     assert rank_from_sigma(np.array([1.0, 0.5, 1e-14]), tol=0.6) == 1
     assert rank_from_sigma(np.array([0.0])) == 1
+
+
+def test_split_cutoff(rng):
+    a = random_complex(rng, 8, 3) @ random_complex(rng, 3, 6)
+    sigma = svd(a).sigma
+    for tol in (0.0, 0.3, 0.9):
+        r = rank_from_sigma(sigma, tol)
+        u, s, vh = split(a, tol)
+        assert (u.shape, s.shape, vh.shape) == ((8, r), (r,), (r, 6))
+        assert np.array_equal(s, sigma[:r])
+    assert len(split(a).sigma) == 3
+    for d_max in (1, 2, 5):
+        assert len(split(a, d_max=d_max).sigma) == min(3, d_max)
+    u, s, vh = split(np.zeros((4, 3)))
+    assert (u.shape, s.shape, vh.shape) == ((4, 1), (1,), (1, 3))
 
 
 def test_eigh_pauli():

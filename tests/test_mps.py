@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtt import (
     MPSState,
@@ -18,7 +20,7 @@ from symtt.errors import GaugeViolationError, NotNormalizedError, ShapeMismatchE
 from symtt.linalg import dagger
 from symtt.mps import _tt_cores
 
-from conftest import random_complex, random_mps, random_unit_vector
+from conftest import brute_force_vector, random_complex, random_mps, random_unit_vector
 
 
 def ghz(p):
@@ -76,9 +78,43 @@ def test_to_vector_product_state():
 def test_to_vector_matches_eval(rng):
     m = random_mps(rng, 4, 3, boundary="periodic")
     x = to_vector(m)
+    want = brute_force_vector(m)
     for idx in range(16):
         bits = [(idx >> (3 - k)) & 1 for k in range(4)]
-        assert abs(x[idx] - eval_component(m, bits)) < 1e-12
+        assert abs(x[idx] - want[idx]) < 1e-12
+        assert abs(eval_component(m, bits) - want[idx]) < 1e-12
+
+
+@st.composite
+def chains(draw):
+    """Open or periodic chains with p <= 6 and bond dimensions <= 4."""
+    p = draw(st.integers(1, 6))
+    bonds = draw(st.lists(st.integers(1, 4), min_size=p + 1, max_size=p + 1))
+    if draw(st.booleans()):
+        bonds[-1] = bonds[0]
+        boundary = "periodic"
+    else:
+        bonds[0] = bonds[-1] = 1
+        boundary = "open"
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sites = [
+        (random_complex(rng, bonds[j], bonds[j + 1]), random_complex(rng, bonds[j], bonds[j + 1]))
+        for j in range(p)
+    ]
+    return MPSState(sites, boundary=boundary)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains())
+def test_contraction_matches_oracle_property(m):
+    want = brute_force_vector(m)
+    # rounding bound: the same products taken over entrywise magnitudes
+    bound = brute_force_vector(MPSState([(abs(a0), abs(a1)) for a0, a1 in m.sites], boundary=m.boundary)).real
+    x = to_vector(m)
+    assert np.all(np.abs(x - want) <= 1e-12 * bound)
+    for idx in range(2**m.p):
+        bits = [(idx >> (m.p - 1 - k)) & 1 for k in range(m.p)]
+        assert abs(eval_component(m, bits) - want[idx]) <= 1e-12 * bound[idx]
 
 
 # ------------------------------------------------------------ decomposition
@@ -292,6 +328,21 @@ def test_truncate_identity(rng):
     m = from_vector(x)
     m2 = truncate(m, tol=0.0)
     assert np.linalg.norm(to_vector(m2) - x) < 1e-12 * np.linalg.norm(x)
+
+
+def test_truncate_tol_zero_keeps_rank_floor():
+    # |0...0> + 1e-13 |1...1> as a bond-2 chain: the weight sits on site 1, so
+    # the right sweep keeps bond 2 at the interior bonds, while the Schmidt
+    # value there is 1e-13 relative, under the EPS_RANK floor
+    p = 5
+    first = (np.array([[1.0, 0.0]]), np.array([[0.0, 1e-13]]))
+    inner = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    last = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    m = MPSState([first] + [inner] * (p - 2) + [last], boundary="open")
+    assert max(two_site_sweep(m, "right").dims) == 2
+    m2 = truncate(m, tol=0.0)
+    assert m2.dims == (1,) * (p + 1)
+    assert np.linalg.norm(to_vector(m2) - to_vector(m)) <= 1e-12
 
 
 def test_truncate_ghz_to_rank_one():

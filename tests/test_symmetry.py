@@ -283,6 +283,34 @@ def test_reverse_normal_form_random(rng):
         assert nf.lam.dtype.kind == "f"
 
 
+def reverse_formula_vector(nf):
+    """Oracle: the ReverseNormalForm docstring formula, one index at a time."""
+    p, half = nf.p, nf.p // 2
+    sig = np.diag(nf.sigma.astype(complex))
+    lam = np.diag(nf.lam.astype(complex))
+    out = np.empty(2**p, dtype=complex)
+    for idx in range(2**p):
+        bits = [(idx >> (p - 1 - k)) & 1 for k in range(p)]
+        mat = np.eye(nf.us[0].shape[0] // 2, dtype=complex)
+        for j in range(half):
+            mat = mat @ nf.factor(j, bits[j])
+        if p % 2:
+            mat = mat @ nf.factor(half, bits[half])
+        mat = mat @ sig
+        for j in range(half - 1, -1, -1):
+            mat = mat @ dagger(nf.factor(j, bits[p - 1 - j]))
+        out[idx] = np.trace(mat @ lam)
+    return out
+
+
+def test_reverse_normal_form_vector_matches_formula(rng):
+    for p in range(1, 9):
+        nf = reverse_normal_form(symmetrize_reverse(rand_vec(rng, p)))
+        want = reverse_formula_vector(nf)
+        assert nf.state().p == p
+        assert np.linalg.norm(nf.to_vector() - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # ------------------------------------------------------------------- bitflip
 
 def test_bitflip_construct_ghz_exact():
