@@ -45,6 +45,10 @@ class TooLargeError(SymttError):
     pass
 
 
+class ResidualError(SymttError):
+    pass
+
+
 class ShapeMismatchError(SymttError):
     pass
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symtt import MPSState
+from symtt.linalg import kron_chain
 
 
 @pytest.fixture
@@ -55,3 +56,12 @@ def brute_force_vector(m):
             prod = prod @ pair[(idx >> (m.p - 1 - j)) & 1]
         out[idx] = np.trace(prod)
     return out
+
+
+def dense_reference(spec):
+    """Oracle: the term sum with every term a dense left-to-right Kronecker fold."""
+    ident = np.eye(spec.d, dtype=np.complex128)
+    h = np.zeros((spec.d**spec.p,) * 2, dtype=np.complex128)
+    for term in spec.terms:
+        h += term.coeff * kron_chain(ident if f is None else f for f in term.factors)
+    return h

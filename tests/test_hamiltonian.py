@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtt import (
     anisotropic_xy_transform,
@@ -15,9 +17,11 @@ from symtt import (
     pauli,
     spin1,
 )
-from symtt.errors import BadParamsError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from symtt.hamiltonian import TABLE_MODELS, HamiltonianSpec, LocalTermSpec
-from symtt.linalg import dagger, frob
+from symtt.errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
+from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec
+from symtt.linalg import EighResult, dagger, frob
+
+from conftest import dense_reference, random_complex
 
 
 def test_pauli_entries():
@@ -74,9 +78,76 @@ def test_model_rejects_bad_input():
         model("ising_zz", 3, {"lam": float("nan")})
 
 
+def test_assemble_matches_dense_reference():
+    rng = np.random.default_rng(11)
+    for name in MODEL_NAMES:
+        d = model(name, 1).d
+        for p in range(1, 7 if d == 2 else 6):
+            for boundary in ("open", "periodic"):
+                drawn = {key: float(rng.uniform(-2, 2)) for key in ("jx", "jy", "jz", "lam", "theta")}
+                for params in (None, drawn):
+                    spec = model(name, p, params, boundary)
+                    h = assemble(spec)
+                    assert h.dtype == np.complex128
+                    assert h.tobytes() == dense_reference(spec).tobytes(), (name, p, boundary, params)
+
+
+@st.composite
+def custom_specs(draw):
+    """Term lists with d in {2, 3}, random identity (None) patterns, and
+    complex or real factors holding exact zeros."""
+    d = draw(st.sampled_from((2, 3)))
+    p = draw(st.integers(1, 5 if d == 2 else 4))
+    nones = draw(st.lists(st.lists(st.booleans(), min_size=p, max_size=p), min_size=1, max_size=4))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for pattern in nones:
+        factors = []
+        for is_none in pattern:
+            if is_none:
+                factors.append(None)
+                continue
+            values = random_complex(rng, d, d) if is_complex else rng.standard_normal((d, d))
+            # masked entries become signed zeros
+            factors.append(values * (rng.random((d, d)) < 0.6))
+        terms.append(LocalTermSpec(float(rng.standard_normal()), tuple(factors)))
+    return HamiltonianSpec(p=p, d=d, boundary="open", terms=tuple(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(custom_specs())
+def test_assemble_matches_dense_reference_property(spec):
+    assert assemble(spec).tobytes() == dense_reference(spec).tobytes()
+
+
 def test_assemble_guard():
     with pytest.raises(TooLargeError):
         assemble(model("hx", 21))
+    # p = 14 needs 16 * 4^14 bytes = 4 GiB; the guard refuses before allocating
+    with pytest.raises(TooLargeError, match=r"4294967296 bytes.*MAX_DENSE_BYTES guard of 1073741824 bytes"):
+        assemble(model("hx", 14))
+    with pytest.raises(TooLargeError, match="MAX_DENSE_BYTES"):
+        assemble(model("aklt", 9))
+
+
+def test_spec_rejects_bad_factors():
+    x = pauli("x")
+    with pytest.raises(ShapeMismatchError):
+        HamiltonianSpec(p=2, d=2, boundary="open", terms=(LocalTermSpec(1.0, (spin1("x"), None)),))
+    with pytest.raises(ShapeMismatchError):
+        HamiltonianSpec(p=2, d=3, boundary="open", terms=(LocalTermSpec(1.0, (x, x)),))
+    with pytest.raises(ShapeMismatchError):
+        LocalTermSpec(1.0, (np.ones((2, 3)), None))
+    with pytest.raises(ShapeMismatchError):
+        LocalTermSpec(1.0, (np.ones(2), None))
+    with pytest.raises(ShapeMismatchError):
+        LocalTermSpec(1.0, (x, spin1("z")))
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        f = x.copy()
+        f[0, 0] = bad
+        with pytest.raises(BadParamsError):
+            LocalTermSpec(1.0, (f, None))
 
 
 def test_closed_form_spectrum_examples():
@@ -229,6 +300,16 @@ def test_ground_state_ising_oracle():
 def test_ground_state_guard():
     with pytest.raises(TooLargeError):
         ground_state(model("hx", 11))
+
+
+def test_ground_state_residual_check(monkeypatch):
+    def wrong_eigh(h):
+        values = np.linalg.eigvalsh(h)
+        return EighResult(values, np.eye(len(values), dtype=np.complex128))
+
+    monkeypatch.setattr("symtt.hamiltonian.eigh", wrong_eigh)
+    with pytest.raises(ResidualError, match=r"residual .* exceeds its bound"):
+        ground_state(model("hx", 2))
 
 
 def test_ground_vectors_j_symmetry(rng):

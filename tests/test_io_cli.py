@@ -332,3 +332,12 @@ def test_cli_struct_split_circulant(tmp_path, capsys, rng):
     assert run_cli("struct", "circulant-eig", str(row)) == 0
     out = capsys.readouterr().out
     assert "ev_0=1" in out and "ev_1=-1" in out
+
+
+def test_cli_ham_build_too_large(tmp_path, capsys):
+    # 16 * 4^14 bytes = 4 GiB: the byte guard refuses before allocating
+    out = tmp_path / "H.mat"
+    assert run_cli("ham", "build", "--model", "hx", "--p", "14", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "4294967296 bytes" in err and "MAX_DENSE_BYTES" in err
+    assert not out.exists()
