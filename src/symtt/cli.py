@@ -15,6 +15,7 @@ VEC1 / MPS1 / WIT formats.  Exit codes: 0 success, 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -74,19 +75,9 @@ def _add_model_args(sub, required: bool) -> None:
 
 
 def _flags_report(rep: Report, flags: structured.StructureFlags) -> None:
-    for name in (
-        "symmetric",
-        "skew_symmetric",
-        "hermitian",
-        "persymmetric",
-        "skew_persymmetric",
-        "centrosymmetric",
-        "toeplitz",
-        "circulant",
-        "skew_circulant",
-        "diagonal",
-    ):
-        rep.add(name, str(getattr(flags, name)).lower())
+    for f in dataclasses.fields(flags):
+        if f.name != "omega":
+            rep.add(f.name, str(getattr(flags, f.name)).lower())
     if flags.omega is not None:
         rep.add("omega", f"{flags.omega.real:.17g}{flags.omega.imag:+.17g}j")
 
@@ -138,9 +129,7 @@ def _run_mps(args, rep: Report) -> None:
         fileio.write_vec(args.out, x)
         rep.add("written", args.out)
     elif args.verb == "eval":
-        state = fileio.read_mps(args.mps)
-        bits = [int(b) for b in args.bits]
-        z = mps.eval_component(state, bits)
+        z = mps.eval_component(fileio.read_mps(args.mps), args.bits)
         rep.add("re", z.real)
         rep.add("im", z.imag)
     elif args.verb == "normalize":
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("vec")
     sub.add_argument("--tol", type=float, default=symmetry.EPS_SYM)
     sub = symg.add_parser("construct")
-    sub.add_argument("--kind", choices=("bitshift", "reverse", "bitflip", "fullbit", "firstsite", "lastsite"), required=True)
+    sub.add_argument("--kind", choices=symmetry.SYMMETRY_KINDS, required=True)
     sub.add_argument("--vec", help="VEC1 input (all kinds except fullbit)")
     sub.add_argument("--mat", help="MAT1 input (fullbit)")
     sub.add_argument("--p", type=int, help="site count (fullbit)")
@@ -432,7 +421,7 @@ def main(argv=None) -> int:
             _run_sym(args, rep)
         else:
             _run_struct(args, rep)
-    except SymttError as exc:
+    except (SymttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rep.emit(args.json)

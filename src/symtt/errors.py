@@ -2,10 +2,12 @@
 
 Every precondition violation maps to one of these classes so the CLI can
 distinguish domain errors (exit code 1) from usage errors (exit code 2).
+They subclass ``ValueError``, so code that catches ``ValueError`` still
+catches them.
 """
 
 
-class SymttError(Exception):
+class SymttError(ValueError):
     """Base class for all domain errors of this package."""
 
 

@@ -31,6 +31,17 @@ def _parse_complex(line: str, where: str) -> complex:
         raise FormatError(f"{where}: bad number in {line!r}") from exc
 
 
+def _header_int(token: str, where: str, least: int) -> int:
+    """A header integer, at least ``least``."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise FormatError(f"{where}: expected an integer in the header, got {token!r}") from None
+    if value < least:
+        raise FormatError(f"{where}: header value {value} must be >= {least}")
+    return value
+
+
 class _Lines:
     def __init__(self, text: str, where: str):
         self.lines = [ln for ln in text.splitlines()]
@@ -45,11 +56,20 @@ class _Lines:
                 return ln
         raise FormatError(f"{self.where}: unexpected end of file")
 
+    def left(self) -> int:
+        """Lines not read yet: an upper bound on the entries still to come."""
+        return len(self.lines) - self.pos
+
 
 def _matrix_body(lines: _Lines, rows: int, cols: int, where: str) -> np.ndarray:
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for k in range(rows * cols):
+    n = rows * cols
+    if n > lines.left():
+        raise FormatError(f"{where}: header promises {n} entries, but only {lines.left()} lines remain")
+    out = np.empty(n, dtype=np.complex128)
+    for k in range(n):
         out[k] = _parse_complex(lines.next(), where)
+    if not np.all(np.isfinite(out)):
+        raise FormatError(f"{where}: entries must be finite (no NaN/Inf)")
     return out.reshape(rows, cols)
 
 
@@ -66,9 +86,7 @@ def read_mat(path) -> np.ndarray:
     header = lines.next().split()
     if len(header) != 3 or header[0] != "MAT1":
         raise FormatError(f"{where}: expected 'MAT1 <rows> <cols>' header")
-    rows, cols = int(header[1]), int(header[2])
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{where}: matrix dimensions must be positive")
+    rows, cols = _header_int(header[1], where, 1), _header_int(header[2], where, 1)
     return _matrix_body(lines, rows, cols, where)
 
 
@@ -88,7 +106,10 @@ def read_vec(path) -> np.ndarray:
     header = lines.next().split()
     if len(header) != 2 or header[0] != "VEC1":
         raise FormatError(f"{where}: expected 'VEC1 <p>' header")
-    p = int(header[1])
+    p = _header_int(header[1], where, 0)
+    # compare exponents first so a huge p never builds 2**p
+    if p >= lines.left().bit_length():
+        raise FormatError(f"{where}: header promises 2^{p} entries, but only {lines.left()} lines remain")
     return _matrix_body(lines, 2**p, 1, where).reshape(-1)
 
 
@@ -108,14 +129,14 @@ def read_mps(path) -> MPSState:
     header = lines.next().split()
     if len(header) != 3 or header[0] != "MPS1":
         raise FormatError(f"{where}: expected 'MPS1 <p> <open|periodic>' header")
-    p = int(header[1])
+    p = _header_int(header[1], where, 1)
     boundary = header[2]
     if boundary not in ("open", "periodic"):
         raise FormatError(f"{where}: boundary must be open or periodic")
     dims_line = lines.next().split()
     if dims_line[0] != "DIMS" or len(dims_line) != p + 2:
         raise FormatError(f"{where}: expected 'DIMS' with {p + 1} entries")
-    dims = [int(d) for d in dims_line[1:]]
+    dims = [_header_int(d, where, 1) for d in dims_line[1:]]
     sites = []
     for j in range(1, p + 1):
         site_line = lines.next().split()
@@ -126,7 +147,7 @@ def read_mps(path) -> MPSState:
             head = lines.next().split()
             if len(head) != 3 or head[0] != tag:
                 raise FormatError(f"{where}: expected '{tag} <rows> <cols>' at site {j}")
-            rows, cols = int(head[1]), int(head[2])
+            rows, cols = _header_int(head[1], where, 1), _header_int(head[2], where, 1)
             if rows != dims[j - 1] or cols != dims[j]:
                 raise FormatError(f"{where}: site {j} shape {rows}x{cols} contradicts DIMS")
             pair.append(_matrix_body(lines, rows, cols, where))
@@ -150,7 +171,10 @@ def read_witness(path) -> SymmetryWitness:
     header = lines.next().split()
     if len(header) != 5 or header[0] != "WITS":
         raise FormatError(f"{where}: expected 'WITS <kind> <sign> <block_len> <count>' header")
-    kind, sign, block_len, count = header[1], int(header[2]), int(header[3]), int(header[4])
+    kind = header[1]
+    sign = _header_int(header[2], where, -1)
+    block_len = _header_int(header[3], where, 1)
+    count = _header_int(header[4], where, 0)
     if kind not in SYMMETRY_KINDS:
         raise FormatError(f"{where}: unknown witness kind {kind!r}")
     mats = []
@@ -161,6 +185,6 @@ def read_witness(path) -> SymmetryWitness:
         shape = lines.next().split()
         if len(shape) != 2:
             raise FormatError(f"{where}: expected '<rows> <cols>' for WIT {j}")
-        rows, cols = int(shape[0]), int(shape[1])
+        rows, cols = _header_int(shape[0], where, 1), _header_int(shape[1], where, 1)
         mats.append(_matrix_body(lines, rows, cols, where))
     return SymmetryWitness(kind=kind, sign=sign, block_len=block_len, matrices=tuple(mats) or None)

@@ -11,8 +11,10 @@ certification, and ground-state extraction all operate on this one term form.
 product densely: it folds each term's factors into the coordinates and values
 of its nonzeros (a Pauli string has one per row) and adds those into the
 result.  The products run left to right and the terms in order, as a dense
-Kronecker fold would, so the entries are bit-identical to it.  A guard of
-``MAX_DENSE_BYTES`` bounds the one dense allocation.
+Kronecker fold would, and each one multiplies by a whole factor as
+``np.kron`` does, so numpy rounds it the same way (fused or not) however
+sparse the factor is: the entries are bit-identical to the fold for any
+factors.  A guard of ``MAX_DENSE_BYTES`` bounds the one dense allocation.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ class LocalTermSpec:
         for f in self.factors:
             if f is None:
                 continue
+            if not isinstance(f, np.ndarray):
+                raise BadParamsError(f"local factors must be numpy arrays or None, got {type(f).__name__}")
             if f.ndim != 2 or f.shape[0] != f.shape[1]:
                 raise ShapeMismatchError(f"local factors must be square matrices, got shape {f.shape}")
             if not np.all(np.isfinite(f)):
@@ -125,6 +129,8 @@ class HamiltonianSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.p < 1 or self.d < 1:
+            raise BadParamsError(f"need p >= 1 sites of dimension d >= 1, got p = {self.p}, d = {self.d}")
         if self.boundary not in ("open", "periodic"):
             raise BadParamsError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         for t in self.terms:
@@ -234,7 +240,13 @@ def model(name: str, p: int, params: dict | None = None, boundary: str = "open")
 
 def _term_nonzeros(factors, ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the nonzeros of one term's Kronecker
-    product, multiplied left to right like a dense Kronecker fold."""
+    product, multiplied left to right like a dense Kronecker fold.
+
+    Each value row is multiplied by the whole flattened factor before the
+    nonzeros are picked: numpy's complex multiply skips FMA only in a
+    length-1 inner loop, and rows of d^2 entries hit one exactly when
+    ``np.kron``'s rows of d do (d = 1), whatever the factor's sparsity.
+    """
     d = ident.shape[0]
     rows = np.zeros(1, dtype=np.intp)
     cols = np.zeros(1, dtype=np.intp)
@@ -245,7 +257,7 @@ def _term_nonzeros(factors, ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         r, c = np.nonzero(f)
         rows = (rows[:, None] * d + r).ravel()
         cols = (cols[:, None] * d + c).ravel()
-        vals = (vals[:, None] * f[r, c]).ravel()
+        vals = (vals[:, None] * f.reshape(-1))[:, r * d + c].ravel()
     return rows, cols, vals
 
 

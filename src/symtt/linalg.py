@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NotHermitianError, ShapeMismatchError
+from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError
 
 #: relative residual tolerance the kernels are required to meet
 EPS_LIN = 1e-12
@@ -33,7 +33,7 @@ def as_cmatrix(a) -> np.ndarray:
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatchError(f"matrix dimensions must be >= 1, got {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise BadParamsError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
@@ -41,7 +41,7 @@ def as_cvector(x) -> np.ndarray:
     """Coerce ``x`` to a 1-D complex128 array with finite entries."""
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+        raise BadParamsError("vector entries must be finite (no NaN/Inf)")
     return v
 
 
@@ -110,7 +110,7 @@ def svd(a, full_matrices: bool = False) -> SvdResult:
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ValueError(f"SVD did not converge: {exc}") from exc
+        raise ResidualError(f"SVD did not converge: {exc}") from exc
     u = np.ascontiguousarray(u)
     vh = np.ascontiguousarray(vh)
     _fix_phases(u, vh)
@@ -159,14 +159,14 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
     try:
         t, z = scipy.linalg.schur(m, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ValueError(f"Schur iteration did not converge: {exc}") from exc
+        raise ResidualError(f"Schur iteration did not converge: {exc}") from exc
     return dagger(z), t
 
 
 def fourier_matrix(n: int) -> np.ndarray:
     """Unitary Fourier matrix, f[j, k] = exp(2 pi i j k / n) / sqrt(n)."""
     if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+        raise BadParamsError(f"order must be >= 1, got {n}")
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
@@ -174,5 +174,5 @@ def fourier_matrix(n: int) -> np.ndarray:
 def exchange_matrix(n: int) -> np.ndarray:
     """Anti-identity permutation matrix of size n (entries exactly 0/1)."""
     if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+        raise BadParamsError(f"order must be >= 1, got {n}")
     return np.fliplr(np.eye(n, dtype=np.complex128))

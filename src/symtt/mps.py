@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     GaugeViolationError,
     NotNormalizedError,
     ShapeMismatchError,
@@ -32,6 +33,8 @@ from .linalg import as_cvector, dagger, frob, split, svd
 
 #: evaluation guard
 MAX_VECTOR_DIM = 2**20
+#: largest left-gauge residual strong_normalize accepts on its input
+EPS_GAUGE = 1e-8
 
 
 class MPSState:
@@ -47,7 +50,7 @@ class MPSState:
 
     def __init__(self, sites, boundary: str = "open"):
         if boundary not in ("open", "periodic"):
-            raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
+            raise BadParamsError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
         pairs = []
         for j, (a0, a1) in enumerate(sites):
             m0 = np.array(a0, dtype=np.complex128)
@@ -99,10 +102,13 @@ def _contract(choices) -> np.ndarray:
 
 
 def eval_component(m: MPSState, bits) -> complex:
-    """Trace of the site-matrix product selected by ``bits``."""
+    """Trace of the site-matrix product selected by ``bits`` (0/1 integers
+    or a string of '0' and '1')."""
     bits = list(bits)
     if len(bits) != m.p:
         raise ShapeMismatchError(f"need {m.p} bits, got {len(bits)}")
+    if any(str(b) not in ("0", "1") for b in bits):
+        raise BadParamsError(f"bits must be 0 or 1, got {bits}")
     picked = [(a1 if int(b) else a0)[None] for (a0, a1), b in zip(m.sites, bits)]
     return complex(_contract(picked)[0])
 
@@ -238,7 +244,7 @@ def vidal_to_a(v: VidalForm, side: str = "left") -> MPSState:
     side="right" gives A_j = Gamma_j Lambda_j (right-normalized).
     """
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise BadParamsError(f"side must be 'left' or 'right', got {side!r}")
     sites = []
     for j, (g0, g1) in enumerate(v.gammas):
         if side == "left":
@@ -309,7 +315,7 @@ def two_site_sweep(m: MPSState, direction: str) -> MPSState:
     represented vector is preserved.
     """
     if direction not in ("left", "right"):
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+        raise BadParamsError(f"direction must be 'left' or 'right', got {direction!r}")
     pairs = [(a0.copy(), a1.copy()) for a0, a1 in m.sites]
     p = len(pairs)
     if p == 1:
@@ -326,7 +332,7 @@ def two_site_sweep(m: MPSState, direction: str) -> MPSState:
     return MPSState(pairs, boundary=m.boundary)
 
 
-def strong_normalize(m: MPSState, gauge_tol: float = 1e-8) -> MPSState:
+def strong_normalize(m: MPSState) -> MPSState:
     """Rotate a left-normalized open chain so every A0^H A0 becomes diagonal.
 
     Site by site, the upper matrix is factored (through the accumulated bond
@@ -339,7 +345,7 @@ def strong_normalize(m: MPSState, gauge_tol: float = 1e-8) -> MPSState:
         raise GaugeViolationError("strong normalization is defined for open chains")
     report = check_gauge(m)
     worst = max(report.left[:-1], default=0.0) if m.p > 1 else 0.0
-    if worst > gauge_tol:
+    if worst > EPS_GAUGE:
         raise GaugeViolationError(
             f"input must be left-normalized (worst site residual {worst:.2e})"
         )
@@ -379,7 +385,7 @@ def truncate(m: MPSState, d_max: int | None = None, tol: float = 0.0) -> MPSStat
     if m.boundary != "open":
         raise GaugeViolationError("truncate is defined for open chains")
     if d_max is not None and d_max < 1:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
+        raise BadParamsError(f"d_max must be >= 1, got {d_max}")
     state = two_site_sweep(m, "right")
     pairs = [(a0.copy(), a1.copy()) for a0, a1 in state.sites]
     for j in range(len(pairs) - 1):

@@ -17,6 +17,7 @@ from .errors import (
     NotSymmetricError,
     NotSymPersymError,
     OddSizeError,
+    ShapeMismatchError,
 )
 from .linalg import (
     as_cmatrix,
@@ -30,6 +31,8 @@ from .linalg import (
 
 #: default relative tolerance for structure decisions
 EPS_STRUCT = 1e-10
+#: eigenvalue gap below which the two half-size blocks count as degenerate
+EPS_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
     return StructureFlags(omega=omega, **flags)
 
 
-def persym_split(a, tol: float = EPS_STRUCT) -> tuple[np.ndarray, np.ndarray]:
+def persym_split(a) -> tuple[np.ndarray, np.ndarray]:
     """Split a symmetric matrix into persymmetric plus skew-persymmetric parts.
 
     Returns (p, s) with p symmetric persymmetric, s symmetric
@@ -147,33 +150,33 @@ def persym_split(a, tol: float = EPS_STRUCT) -> tuple[np.ndarray, np.ndarray]:
     (exact whenever the entry averages are representable).
     """
     m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1] or frob(m - m.T) > tol * frob(m):
+    if m.shape[0] != m.shape[1] or frob(m - m.T) > EPS_STRUCT * frob(m):
         raise NotSymmetricError("persym_split requires a symmetric square matrix")
     p = 0.5 * (m + _flip2(m))
     s = m - p
     return p, s
 
 
-def _require_sym_persym(m: np.ndarray, tol: float, real: bool = False) -> int:
+def _require_sym_persym(m: np.ndarray, real: bool = False) -> int:
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise NotSymPersymError(f"expected a square matrix, got shape {m.shape}")
-    scale = frob(m)
-    if frob(m - m.T) > tol * scale or frob(_flip2(m) - m) > tol * scale:
+    thresh = EPS_STRUCT * frob(m)
+    if frob(m - m.T) > thresh or frob(_flip2(m) - m) > thresh:
         raise NotSymPersymError("matrix is not symmetric persymmetric")
-    if real and frob(m.imag) > tol * scale:
+    if real and frob(m.imag) > thresh:
         raise NotSymPersymError("matrix is not real")
     return n
 
 
-def corner_blocks(a, tol: float = EPS_STRUCT) -> tuple[np.ndarray, np.ndarray]:
+def corner_blocks(a) -> tuple[np.ndarray, np.ndarray]:
     """Top-left and bottom-left m x m blocks of a symmetric persymmetric matrix.
 
     The returned pair (b, c) determines the whole matrix: the top-right block
     is c^T and the bottom-right block is J b J.
     """
     m = as_cmatrix(a)
-    n = _require_sym_persym(m, tol)
+    n = _require_sym_persym(m)
     if n % 2:
         raise OddSizeError(f"corner_blocks requires even size, got {n}")
     h = n // 2
@@ -187,15 +190,15 @@ class BlockPair:
     q: np.ndarray
 
 
-def block_diagonalize(a, tol: float = EPS_STRUCT) -> BlockPair:
+def block_diagonalize(a) -> BlockPair:
     """Orthogonal transform of a real symmetric persymmetric matrix to
     block-diagonal form diag(B + JC, B - JC) of half size.
 
-    q @ a @ q.T == diag(b_plus, b_minus) within tol, with orthogonal
+    q @ a @ q.T == diag(b_plus, b_minus) within EPS_STRUCT, with orthogonal
     q = [[I, J], [I, -J]] / sqrt(2).
     """
     m = as_cmatrix(a)
-    n = _require_sym_persym(m, tol, real=True)
+    n = _require_sym_persym(m, real=True)
     if n % 2:
         raise OddSizeError(f"block_diagonalize requires even size, got {n}")
     h = n // 2
@@ -214,16 +217,16 @@ class ClassifiedEigenbasis:
     degenerate_flag: bool
 
 
-def classified_eigenbasis(a, gap_tol: float = 1e-8, tol: float = EPS_STRUCT) -> ClassifiedEigenbasis:
+def classified_eigenbasis(a) -> ClassifiedEigenbasis:
     """Eigenbasis of a real symmetric persymmetric matrix, split into
     exchange-symmetric vectors (J v = v) and exchange-skew vectors (J v = -v).
 
     Eigenpairs of the B + JC block lift to (v; Jv)/sqrt(2); eigenpairs of
     B - JC lift to (u; -Ju)/sqrt(2).  When the two blocks share an eigenvalue
-    closer than ``gap_tol`` the classification is not reliable and
+    closer than ``EPS_GAP`` the classification is not reliable and
     ``degenerate_flag`` is set.
     """
-    pair = block_diagonalize(a, tol=tol)
+    pair = block_diagonalize(a)
     ep = eigh(pair.b_plus)
     em = eigh(pair.b_minus)
     s2 = np.sqrt(2.0)
@@ -238,7 +241,7 @@ def classified_eigenbasis(a, gap_tol: float = 1e-8, tol: float = EPS_STRUCT) -> 
     degenerate = bool(
         len(ep.values) > 0
         and len(em.values) > 0
-        and np.min(np.abs(ep.values[:, None] - em.values[None, :])) < gap_tol
+        and np.min(np.abs(ep.values[:, None] - em.values[None, :])) < EPS_GAP
     )
     return ClassifiedEigenbasis(sym_pairs=sym, skew_pairs=skew, degenerate_flag=degenerate)
 
@@ -248,12 +251,12 @@ def circulant_eigenvalues(first_row) -> np.ndarray:
     sqrt(n) * (F_n @ r)."""
     r = as_cvector(first_row)
     if len(r) == 0:
-        raise ValueError("first row must be nonempty")
+        raise ShapeMismatchError("first row must be nonempty")
     n = len(r)
     return np.sqrt(n) * (fourier_matrix(n) @ r)
 
 
-def omega_to_circulant(c, omega: complex, tol: float = EPS_STRUCT) -> tuple[np.ndarray, np.ndarray]:
+def omega_to_circulant(c, omega: complex) -> tuple[np.ndarray, np.ndarray]:
     """Transform an omega-circulant matrix to a plain circulant one.
 
     Returns (circ, d) with d = diag(omega^(j/n)) unitary diagonal (principal
@@ -264,9 +267,9 @@ def omega_to_circulant(c, omega: complex, tol: float = EPS_STRUCT) -> tuple[np.n
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise NotOmegaCirculantError(f"expected a square matrix, got shape {m.shape}")
-    if abs(abs(omega) - 1.0) > max(tol, 1e-8):
+    if abs(abs(omega) - 1.0) > 1e-8:
         raise NotOmegaCirculantError(f"omega must have unit modulus, got |omega|={abs(omega):g}")
-    if frob(m - omega_circulant(m[0, :], omega)) > tol * frob(m):
+    if frob(m - omega_circulant(m[0, :], omega)) > EPS_STRUCT * frob(m):
         raise NotOmegaCirculantError("matrix does not match the omega-circulant pattern")
     root = np.exp(1j * np.angle(omega) / n)
     phases = root ** np.arange(n)

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     NotDiagonalizableError,
     NotHermitianError,
     ShapeMismatchError,
     SymmetryMismatchError,
     TooLargeError,
+    UnknownNameError,
     WitnessViolationError,
     ZeroVectorError,
 )
@@ -144,7 +146,7 @@ class OrbitReport:
 def orbits(bits: str) -> OrbitReport:
     """Index sets sharing a component value under each symmetry."""
     if not bits or set(bits) - {"0", "1"}:
-        raise ValueError(f"bits must be a nonempty 0/1 string, got {bits!r}")
+        raise BadParamsError(f"bits must be a nonempty 0/1 string, got {bits!r}")
     p = len(bits)
     shift = frozenset(bits[k:] + bits[:k] for k in range(p))
     flip = frozenset({bits, "".join("1" if c == "0" else "0" for c in bits)})
@@ -159,49 +161,36 @@ class DofReport:
     reduction_factors: dict[str, float]
 
 
-def _group_perms(p: int, kinds) -> list[np.ndarray]:
-    """All index permutations of the group generated by the given kinds."""
-    gens = []
-    if "bitshift" in kinds:
-        gens.append(shift_perm(p, 1))
-    if "bitflip" in kinds:
-        gens.append(np.arange(2**p - 1, -1, -1, dtype=np.int64))
-    if "reverse" in kinds:
-        gens.append(reverse_perm(p))
-    ident = np.arange(2**p, dtype=np.int64)
-    seen = {ident.tobytes(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in gens:
-                h = g[gen]
-                key = h.tobytes()
-                if key not in seen:
-                    seen[key] = h
-                    nxt.append(h)
-        frontier = nxt
-    return list(seen.values())
-
-
 def dof_count(p: int, kinds) -> DofReport:
     """Exact orbit counts of bit strings under the chosen symmetries.
 
     counts maps each single kind to its class count and, when several kinds
     are given, "combined" to the count under the jointly generated group.
+    The flip commutes with shift and reversal, so every group element is
+    flip^b reverse^a shift^k; the least image of an index over the group
+    labels its orbit, kept as a running minimum in O(2^p) memory.
     """
+    if p < 1:
+        raise BadParamsError(f"site count must be >= 1, got {p}")
     if p > DOF_MAX_P:
         raise TooLargeError(f"orbit enumeration capped at p = {DOF_MAX_P}, got {p}")
     kinds = sorted(set(kinds))
     unknown = set(kinds) - {"bitshift", "bitflip", "reverse"}
     if unknown:
-        raise ValueError(f"unknown symmetry kinds for counting: {sorted(unknown)}")
+        raise UnknownNameError(f"unknown symmetry kinds for counting: {sorted(unknown)}")
     if not kinds:
-        raise ValueError("need at least one symmetry kind")
+        raise BadParamsError("need at least one symmetry kind")
+    rev = reverse_perm(p)
+    top = 2**p - 1
 
     def count(group_kinds) -> int:
-        perms = np.stack(_group_perms(p, group_kinds))
-        canon = perms.min(axis=0)
+        canon = np.arange(2**p, dtype=np.int64)
+        for k in range(p if "bitshift" in group_kinds else 1):
+            image = shift_perm(p, k)
+            for img in (image, rev[image]) if "reverse" in group_kinds else (image,):
+                np.minimum(canon, img, out=canon)
+                if "bitflip" in group_kinds:
+                    np.minimum(canon, top - img, out=canon)
         return int(len(np.unique(canon)))
 
     counts = {k: count([k]) for k in kinds}
@@ -229,9 +218,9 @@ class SymmetryWitness:
 
     def __post_init__(self):
         if self.kind not in SYMMETRY_KINDS:
-            raise ValueError(f"unknown symmetry kind {self.kind!r}")
+            raise UnknownNameError(f"unknown symmetry kind {self.kind!r}")
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise BadParamsError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
 def _swap_block(top: int, bottom: int) -> np.ndarray:
@@ -243,9 +232,36 @@ def _swap_block(top: int, bottom: int) -> np.ndarray:
     return s
 
 
+def _direct_sum(m: MPSState, partner) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sites of the chain of (x + x')/2, x the vector of m and x' that of the
+    partner sites: site j is B_j (+) C_j, side by side at an open site 1,
+    stacked at an open site p and block diagonal elsewhere, each scaled by
+    2^(-1/p); a single open site is the plain average."""
+    p = m.p
+    obc = m.boundary == "open"
+    if obc and p == 1:
+        (b0, b1), (c0, c1) = m.sites[0], partner[0]
+        return [(0.5 * (b0 + c0), 0.5 * (b1 + c1))]
+    scale = 2.0 ** (-1.0 / p)
+    sites = []
+    for j, (b_pair, c_pair) in enumerate(zip(m.sites, partner)):
+        pair = []
+        for b, c in zip(b_pair, c_pair):
+            if obc and j == 0:
+                pair.append(np.hstack([b, c]))
+            elif obc and j == p - 1:
+                pair.append(np.vstack([b, c]))
+            else:
+                z_top = np.zeros((b.shape[0], c.shape[1]))
+                z_bot = np.zeros((c.shape[0], b.shape[1]))
+                pair.append(np.block([[b, z_top], [z_bot, c]]))
+        sites.append((scale * pair[0], scale * pair[1]))
+    return sites
+
+
 # -------------------------------------------------- bit-shift / TI constructs
 
-def ti_construct(m: MPSState, block_len: int = 1, tol: float = EPS_SYM) -> MPSState:
+def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
     """Site-independent periodic representation of a shift-symmetric vector.
 
     Embeds the input site matrices (zero-padded to a common size D) on the
@@ -260,9 +276,9 @@ def ti_construct(m: MPSState, block_len: int = 1, tol: float = EPS_SYM) -> MPSSt
         raise ShapeMismatchError(f"block length {r} must divide p = {p}")
     q = p // r
     x = to_vector(m)
-    if np.linalg.norm(x - x[shift_perm(p, r)]) > tol * np.linalg.norm(x):
+    if np.linalg.norm(x - x[shift_perm(p, r)]) > EPS_SYM * np.linalg.norm(x):
         raise SymmetryMismatchError(
-            "vector is not invariant under the cyclic bit shift (within tol)"
+            "vector is not invariant under the cyclic bit shift (within EPS_SYM)"
         )
     d = max(max(a.shape) for a, _ in m.sites)
     scale = q ** (-1.0 / p)
@@ -311,7 +327,7 @@ def ti_normal_form(a0, a1) -> tuple[np.ndarray, np.ndarray]:
 
 # ------------------------------------------------------------------- reverse
 
-def reverse_construct(m: MPSState, tol: float = EPS_SYM) -> tuple[MPSState, SymmetryWitness]:
+def reverse_construct(m: MPSState) -> tuple[MPSState, SymmetryWitness]:
     """Block-diagonal doubling that pairs each site with the conjugate
     transpose of its mirror site, certified by swap witnesses.
 
@@ -321,11 +337,10 @@ def reverse_construct(m: MPSState, tol: float = EPS_SYM) -> tuple[MPSState, Symm
     S_0 = S_p.
     """
     x = to_vector(m)
-    if np.linalg.norm(x - np.conj(bit_reversed(x))) > tol * np.linalg.norm(x):
-        raise SymmetryMismatchError("vector is not reverse symmetric (within tol)")
+    if np.linalg.norm(x - np.conj(bit_reversed(x))) > EPS_SYM * np.linalg.norm(x):
+        raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
     p = m.p
     dims = m.dims
-    obc = m.boundary == "open"
     if p == 1:
         # mirror site is the site itself: averaging with its conjugate
         # transpose keeps the (real) components, witnessed by the identity
@@ -333,31 +348,12 @@ def reverse_construct(m: MPSState, tol: float = EPS_SYM) -> tuple[MPSState, Symm
         site = (0.5 * (a0 + dagger(a0)), 0.5 * (a1 + dagger(a1)))
         wit = (np.eye(site[0].shape[1], dtype=np.complex128),)
         return MPSState([site], boundary=m.boundary), SymmetryWitness(kind="reverse", matrices=wit)
-    scale = 2.0 ** (-1.0 / p)
-    sites = []
-    for j in range(p):
-        b0, b1 = m.sites[j]
-        c0, c1 = (dagger(a) for a in m.sites[p - 1 - j])
-        if obc and j == 0:
-            pair = (np.hstack([b0, c0]), np.hstack([b1, c1]))
-        elif obc and j == p - 1:
-            pair = (np.vstack([b0, c0]), np.vstack([b1, c1]))
-        else:
-            z_top = np.zeros((b0.shape[0], c0.shape[1]))
-            z_bot = np.zeros((c0.shape[0], b0.shape[1]))
-            pair = (
-                np.block([[b0, z_top], [z_bot, c0]]),
-                np.block([[b1, z_top], [z_bot, c1]]),
-            )
-        sites.append((scale * pair[0], scale * pair[1]))
-    witnesses = []
-    for j in range(1, p + 1):
-        if obc and j == p:
-            witnesses.append(np.eye(1, dtype=np.complex128))
-        else:
-            # S_j acts on bond j+1, which stacks D_{j+1} over D_{p+1-j}
-            witnesses.append(_swap_block(dims[j], dims[p - j]))
-    out = MPSState(sites, boundary=m.boundary)
+    mirrored = [(dagger(a0), dagger(a1)) for a0, a1 in m.sites[::-1]]
+    # S_j acts on bond j+1, which stacks D_{j+1} over D_{p+1-j}
+    witnesses = [_swap_block(dims[j], dims[p - j]) for j in range(1, p + 1)]
+    if m.boundary == "open":
+        witnesses[-1] = np.eye(1, dtype=np.complex128)
+    out = MPSState(_direct_sum(m, mirrored), boundary=m.boundary)
     return out, SymmetryWitness(kind="reverse", matrices=tuple(witnesses))
 
 
@@ -401,7 +397,7 @@ class ReverseNormalForm:
         return to_vector(self.state())
 
 
-def reverse_normal_form(x, tol: float = EPS_SYM) -> ReverseNormalForm:
+def reverse_normal_form(x) -> ReverseNormalForm:
     """Mirror-factored normal form of a reverse symmetric vector.
 
     Starts from the swap-certified doubled representation, absorbs the
@@ -411,7 +407,7 @@ def reverse_normal_form(x, tol: float = EPS_SYM) -> ReverseNormalForm:
     """
     v = as_cvector(x)
     p = _check_pow2(v)
-    state, witness = reverse_construct(from_vector(v), tol=tol)
+    state, witness = reverse_construct(from_vector(v))
     s_list = [np.asarray(s) for s in witness.matrices]
     m = p // 2
     odd = bool(p % 2)
@@ -462,7 +458,7 @@ def reverse_normal_form(x, tol: float = EPS_SYM) -> ReverseNormalForm:
 
 # ------------------------------------------------------------------- bitflip
 
-def bitflip_construct(m: MPSState, sign: int = 1, tol: float = EPS_SYM) -> tuple[MPSState, SymmetryWitness]:
+def bitflip_construct(m: MPSState, sign: int = 1) -> tuple[MPSState, SymmetryWitness]:
     """Block-diagonal doubling pairing each site with its flipped partner.
 
     The output satisfies A_j^(i) = s_j U_j A_j^(1-i) U_{(j mod p)+1} with
@@ -470,40 +466,16 @@ def bitflip_construct(m: MPSState, sign: int = 1, tol: float = EPS_SYM) -> tuple
     s_1 = sign and s_j = 1 otherwise.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise BadParamsError(f"sign must be +1 or -1, got {sign!r}")
     x = to_vector(m)
-    if np.linalg.norm(x - sign * x[::-1]) > tol * np.linalg.norm(x):
-        raise SymmetryMismatchError(f"vector does not satisfy J x = {sign:+d} x (within tol)")
-    p = m.p
-    dims = m.dims
-    scale = 2.0 ** (-1.0 / p)
-    obc = m.boundary == "open"
-    sites = []
-    for j in range(p):
-        b0, b1 = m.sites[j]
-        lead = sign if j == 0 else 1
-        if obc and j == 0 and p > 1:
-            pair = (np.hstack([b0, lead * b1]), np.hstack([b1, lead * b0]))
-        elif obc and j == p - 1 and p > 1:
-            pair = (np.vstack([b0, b1]), np.vstack([b1, b0]))
-        else:
-            z = np.zeros_like(b0)
-            pair = (
-                np.block([[b0, z], [z, lead * b1]]),
-                np.block([[b1, z], [z, lead * b0]]),
-            )
-        sites.append((scale * pair[0], scale * pair[1]))
-    if obc and p == 1:
-        # a single open site duplicates to scalars: average directly
-        a0, a1 = m.sites[0]
-        sites = [(0.5 * (a0 + sign * a1), 0.5 * (a1 + sign * a0))]
-    witnesses = []
-    for j in range(p):
-        if obc and j == 0:
-            witnesses.append(np.eye(1, dtype=np.complex128))
-        else:
-            witnesses.append(_swap_block(dims[j], dims[j]))
-    out = MPSState(sites, boundary=m.boundary)
+    if np.linalg.norm(x - sign * x[::-1]) > EPS_SYM * np.linalg.norm(x):
+        raise SymmetryMismatchError(f"vector does not satisfy J x = {sign:+d} x (within EPS_SYM)")
+    leads = [sign] + [1] * (m.p - 1)
+    swapped = [(lead * a1, lead * a0) for lead, (a0, a1) in zip(leads, m.sites)]
+    witnesses = [_swap_block(d, d) for d in m.dims[:-1]]
+    if m.boundary == "open":
+        witnesses[0] = np.eye(1, dtype=np.complex128)
+    out = MPSState(_direct_sum(m, swapped), boundary=m.boundary)
     return out, SymmetryWitness(kind="bitflip", sign=sign, matrices=tuple(witnesses))
 
 
@@ -527,13 +499,13 @@ def _involution_eigenbasis(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     return d, s
 
 
-def bitflip_normal_form(m: MPSState, w: SymmetryWitness, tol: float = EPS_SYM) -> tuple[MPSState, SymmetryWitness]:
+def bitflip_normal_form(m: MPSState, w: SymmetryWitness) -> tuple[MPSState, SymmetryWitness]:
     """Conjugate each bond by the eigenbasis of its involution witness so the
     relations use only +-1 diagonal witnesses; the vector is preserved."""
     if w.kind != "bitflip" or w.matrices is None:
         raise WitnessViolationError("need a bitflip witness with matrices")
     rep = verify_relation(m, w)
-    if rep.max_residual > tol * _state_scale(m):
+    if rep.max_residual > EPS_SYM * _state_scale(m):
         raise WitnessViolationError(
             f"witness relations fail on the input (residual {rep.max_residual:.2e})"
         )
@@ -541,7 +513,7 @@ def bitflip_normal_form(m: MPSState, w: SymmetryWitness, tol: float = EPS_SYM) -
     ds = []
     ss = []
     for u in w.matrices:
-        d, s = _involution_eigenbasis(np.asarray(u, dtype=np.complex128), max(tol, 1e-9))
+        d, s = _involution_eigenbasis(np.asarray(u, dtype=np.complex128), 1e-9)
         ds.append(d)
         ss.append(s)
     inv_next = [np.linalg.inv(ss[(j + 1) % p]) for j in range(p)]
@@ -582,30 +554,27 @@ def fullbit_normal_form(a) -> tuple[np.ndarray, np.ndarray]:
 
 # ------------------------------------------------ first / last site duplication
 
-def firstsite_construct(b, sign: int = 1) -> MPSState:
-    """Open MPS for x = (b; sign * b): site 1 carries the pair (1, sign)."""
+def _duplicated_end(b, sign: int, first: bool) -> MPSState:
+    """Open MPS of b with the site (1, sign) inserted first or last."""
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise BadParamsError(f"sign must be +1 or -1, got {sign!r}")
     vb = as_cvector(b)
     if not np.any(vb):
         raise ZeroVectorError("b must be nonzero")
-    tail = from_vector(vb)
+    sites = list(from_vector(vb).sites)
     one = np.array([[1.0]], dtype=np.complex128)
-    sites = [(one, sign * one)] + list(tail.sites)
+    sites.insert(0 if first else len(sites), (one, sign * one))
     return MPSState(sites, boundary="open")
+
+
+def firstsite_construct(b, sign: int = 1) -> MPSState:
+    """Open MPS for x = (b; sign * b): site 1 carries the pair (1, sign)."""
+    return _duplicated_end(b, sign, first=True)
 
 
 def lastsite_construct(b, sign: int = 1) -> MPSState:
     """Open MPS for the interleaved vector x_{..., i_p} = sign^{i_p} b_{...}."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    vb = as_cvector(b)
-    if not np.any(vb):
-        raise ZeroVectorError("b must be nonzero")
-    head = from_vector(vb)
-    one = np.array([[1.0]], dtype=np.complex128)
-    sites = list(head.sites) + [(one, sign * one)]
-    return MPSState(sites, boundary="open")
+    return _duplicated_end(b, sign, first=False)
 
 
 # --------------------------------------------------------------- verification
@@ -703,7 +672,7 @@ def verify_relation(m: MPSState, w: SymmetryWitness) -> RelationReport:
         a0, a1 = m.sites[-1]
         res.append(frob(a1 - w.sign * a0))
     else:  # pragma: no cover - guarded by SymmetryWitness.__post_init__
-        raise ValueError(f"unknown witness kind {kind!r}")
+        raise UnknownNameError(f"unknown witness kind {kind!r}")
     return RelationReport(kind=kind, site_residuals=tuple(res), consistency_residuals=tuple(cons))
 
 

@@ -65,3 +65,28 @@ def dense_reference(spec):
     for term in spec.terms:
         h += term.coeff * kron_chain(ident if f is None else f for f in term.factors)
     return h
+
+
+def group_orbit_count(p, kinds):
+    """Oracle: orbits of the p-bit strings under the group the kinds generate,
+    found by breadth-first closure of the generators' index permutations."""
+    idx = np.arange(2**p, dtype=np.int64)
+    gens = []
+    if "bitshift" in kinds:
+        gens.append(((idx << 1) & (2**p - 1)) | (idx >> (p - 1)))
+    if "bitflip" in kinds:
+        gens.append(idx[::-1].copy())
+    if "reverse" in kinds:
+        gens.append(np.array([int(format(i, f"0{p}b")[::-1], 2) for i in range(2**p)], dtype=np.int64))
+    seen = {idx.tobytes(): idx}
+    frontier = [idx]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for gen in gens:
+                h = g[gen]
+                if h.tobytes() not in seen:
+                    seen[h.tobytes()] = h
+                    nxt.append(h)
+        frontier = nxt
+    return len(np.unique(np.stack(list(seen.values())).min(axis=0)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtt import (
@@ -115,8 +115,22 @@ def custom_specs(draw):
     return HamiltonianSpec(p=p, d=d, boundary="open", terms=tuple(terms))
 
 
+def single_nonzero_spec():
+    """Both factors of the second term hold one complex nonzero, so the term
+    has a single value; multiplied as a length-1 row, (0.1+0.1j)^2 rounds to
+    exactly 0.02j, while np.kron's fused multiply leaves a real part of
+    -8.3e-19 on machines with FMA."""
+    a = np.zeros((2, 2), dtype=np.complex128)
+    a[1, 0] = 0.1 + 0.1j
+    b = np.zeros((2, 2), dtype=np.complex128)
+    b[0, 1] = 0.1 + 0.1j
+    z = pauli("z")
+    return HamiltonianSpec(p=2, d=2, boundary="open", terms=(LocalTermSpec(1.0, (z, z)), LocalTermSpec(1.0, (a, b))))
+
+
 @settings(max_examples=100, deadline=None)
 @given(custom_specs())
+@example(single_nonzero_spec())
 def test_assemble_matches_dense_reference_property(spec):
     assert assemble(spec).tobytes() == dense_reference(spec).tobytes()
 
@@ -148,6 +162,11 @@ def test_spec_rejects_bad_factors():
         f[0, 0] = bad
         with pytest.raises(BadParamsError):
             LocalTermSpec(1.0, (f, None))
+    with pytest.raises(BadParamsError, match="numpy arrays"):
+        LocalTermSpec(1.0, ([[0, 1], [1, 0]],))
+    for p, d in ((0, 2), (1, 0), (-1, 2)):
+        with pytest.raises(BadParamsError, match="p >= 1"):
+            HamiltonianSpec(p=p, d=d, boundary="open", terms=(LocalTermSpec(1.0, (x,)),) if p == 1 else ())
 
 
 def test_closed_form_spectrum_examples():

@@ -1,11 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from symtt import MPSState, SymmetryWitness, to_vector
+from symtt import MPSState, SymmetryWitness, from_vector, to_vector
 from symtt.cli import main
 from symtt.errors import FormatError
 from symtt.fileio import (
@@ -67,6 +68,33 @@ def test_format_errors(tmp_path):
     bad.write_text("MAT1 1 1\n1.0\n")
     with pytest.raises(FormatError):
         read_mat(bad)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("MAT1 x 2\n0 0\n", "expected an integer"),
+        ("MAT1 0 2\n", "must be >= 1"),
+        ("MAT1 3 3\n1 0\n", "9 entries, but only 1 lines"),
+        ("MAT1 1 2\nnan 0\n1 0\n", "finite"),
+        ("VEC1 40\n0 0\n", "2\\^40 entries"),
+        ("VEC1 100000\n", "2\\^100000 entries"),
+        ("VEC1 -1\n", "must be >= 0"),
+        ("VEC1 1\n1 0\ninf 0\n", "finite"),
+        ("MPS1 two open\n", "expected an integer"),
+        ("MPS1 1 open\nDIMS 1 x\n", "expected an integer"),
+        ("MPS1 1 open\nDIMS 1 1000000\nSITE 1\nA0 1 1000000\n0 0\n", "1000000 entries"),
+        ("WITS bitflip +1 1 z\n", "expected an integer"),
+        ("WITS bitflip +1 1 1\nWIT bitflip 1\n4000 4000\n", "16000000 entries"),
+    ],
+    ids=lambda v: v.split("\n")[0] if "\n" in v else None,
+)
+def test_format_header_guards(tmp_path, text, match):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    reader = {"MAT1": read_mat, "VEC1": read_vec, "MPS1": read_mps, "WITS": read_witness}[text[:4]]
+    with pytest.raises(FormatError, match=match):
+        reader(bad)
 
 
 def run_cli(*argv):
@@ -341,3 +369,33 @@ def test_cli_ham_build_too_large(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "4294967296 bytes" in err and "MAX_DENSE_BYTES" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (("sym", "orbits", "--bits", "012"), "0/1 string"),
+        (("sym", "dof", "--p", "4", "--kinds", "foo"), "unknown symmetry kinds"),
+        (("sym", "dof", "--p", "4", "--kinds", ","), "at least one symmetry kind"),
+        (("sym", "dof", "--p", "0", "--kinds", "bitshift"), "site count"),
+        (("mps", "truncate", "{dir}/ghz.mps", "--dmax", "0", "--out", "{dir}/out.mps"), "d_max"),
+        (("mps", "eval", "{dir}/ghz.mps", "--bits", "0a1"), "bits must be 0 or 1"),
+        (("struct", "classify", "{dir}/nan.mat"), "finite"),
+        (("sym", "detect", "{dir}/nan.vec"), "finite"),
+        (("struct", "classify", "{dir}/int.mat"), "expected an integer"),
+        (("mps", "from-vector", "{dir}/big.vec", "--out", "{dir}/out.mps"), "2\\^40 entries"),
+        (("struct", "classify", "{dir}/missing.mat"), "No such file"),
+    ],
+)
+def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):
+    ghz = np.zeros(8)
+    ghz[0] = ghz[-1] = 1.0
+    write_mps(tmp_path / "ghz.mps", from_vector(ghz))
+    (tmp_path / "nan.mat").write_text("MAT1 1 2\nnan 0\n1 0\n")
+    (tmp_path / "nan.vec").write_text("VEC1 1\n1 0\nnan 0\n")
+    (tmp_path / "int.mat").write_text("MAT1 x 2\n0 0\n0 0\n")
+    (tmp_path / "big.vec").write_text("VEC1 40\n0 0\n")
+    assert run_cli(*(a.format(dir=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(match, err)

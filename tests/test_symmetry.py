@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from symtt.errors import NotDiagonalizableError, SymmetryMismatchError, TooLarge
 from symtt.linalg import dagger, frob
 from symtt.symmetry import bit_reversed, heuristic_bitflip_witness, shifted
 
-from conftest import random_complex, random_hermitian
+from conftest import group_orbit_count, random_complex, random_hermitian
 
 
 def ghz(p):
@@ -142,6 +144,17 @@ def test_dof_bounds():
 def test_dof_guard():
     with pytest.raises(TooLargeError):
         dof_count(25, ["bitshift"])
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_dof_matches_group_closure(p):
+    kinds = ("bitshift", "bitflip", "reverse")
+    for r in (1, 2, 3):
+        for subset in itertools.combinations(kinds, r):
+            counts = dof_count(p, subset).counts
+            for name, count in counts.items():
+                group = subset if name == "combined" else (name,)
+                assert count == group_orbit_count(p, group), (p, subset, name)
 
 
 # ------------------------------------------------------------------ bitshift
