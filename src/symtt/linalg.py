@@ -55,6 +55,12 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def require_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite number >= 0 (NaN included)."""
+    if not 0.0 <= tol < np.inf:
+        raise BadParamsError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def require_square(a: np.ndarray) -> int:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -119,6 +125,7 @@ def svd(a, full_matrices: bool = False) -> SvdResult:
 
 def rank_from_sigma(sigma: np.ndarray, tol: float = 0.0) -> int:
     """Numerical rank: count of sigma above max(tol, EPS_RANK) * sigma[0]."""
+    require_tol(tol)
     if len(sigma) == 0 or sigma[0] <= 0.0:
         return 1
     cutoff = max(tol, EPS_RANK) * sigma[0]

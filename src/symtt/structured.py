@@ -27,6 +27,7 @@ from .linalg import (
     exchange_matrix,
     fourier_matrix,
     frob,
+    require_tol,
 )
 
 #: default relative tolerance for structure decisions
@@ -100,6 +101,7 @@ def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
 
     Non-square input yields all-false flags rather than an error.
     """
+    require_tol(tol)
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         return StructureFlags()

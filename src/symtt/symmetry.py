@@ -30,7 +30,7 @@ from .errors import (
     WitnessViolationError,
     ZeroVectorError,
 )
-from .linalg import as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, schur, svd
+from .linalg import as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
 
 #: default relative tolerance for symmetry detection and verification
@@ -112,6 +112,7 @@ def detect_vector_symmetries(x, tol: float = EPS_SYM) -> set[str]:
     Possible entries: bitshift, reverse, bitflip+, bitflip-, firstsite+,
     firstsite-, lastsite+, lastsite-.
     """
+    require_tol(tol)
     v = as_cvector(x)
     _check_pow2(v)
     thresh = tol * np.linalg.norm(v)

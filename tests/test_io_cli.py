@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symtt import MPSState, SymmetryWitness, from_vector, to_vector
 from symtt.cli import main
@@ -19,6 +22,7 @@ from symtt.fileio import (
     write_vec,
     write_witness,
 )
+from symtt.symmetry import SYMMETRY_KINDS
 
 from conftest import random_complex, random_mps
 
@@ -60,6 +64,135 @@ def test_witness_roundtrip(tmp_path, rng):
         assert np.array_equal(a, b)
 
 
+def test_golden_bytes(tmp_path):
+    # -0.0, subnormals, 1e300, integer-valued entries and a negative witness sign
+    write_mat(tmp_path / "g.mat", np.array([[complex(-0.0, 5e-324), complex(1e300, -0.0)], [1, complex(0.1, -2.5)]]))
+    write_vec(tmp_path / "g.vec", np.array([complex(-0.0, 1e-310), 3]))
+    sites = [
+        (np.array([[1.0], [-0.0]]), np.array([[0.5j], [2]])),
+        (np.array([[1e300, -1]]), np.array([[5e-324, 7]])),
+    ]
+    write_mps(tmp_path / "g.mps", MPSState(sites, boundary="periodic"))
+    mats = (np.array([[1.0, -0.0]]), np.array([[0.25], [complex(-0.0, -1e-320)]]))
+    write_witness(tmp_path / "g.wit", SymmetryWitness(kind="bitflip", sign=-1, matrices=mats))
+    assert (tmp_path / "g.mat").read_text() == (
+        "MAT1 2 2\n-0 4.9406564584124654e-324\n1.0000000000000001e+300 -0\n1 0\n0.10000000000000001 -2.5\n"
+    )
+    assert (tmp_path / "g.vec").read_text() == "VEC1 1\n-0 9.9999999999999694e-311\n3 0\n"
+    assert (tmp_path / "g.mps").read_text() == (
+        "MPS1 2 periodic\nDIMS 2 1 2\n"
+        "SITE 1\nA0 2 1\n1 0\n-0 0\nA1 2 1\n0 0.5\n2 0\n"
+        "SITE 2\nA0 1 2\n1.0000000000000001e+300 0\n-1 0\nA1 1 2\n4.9406564584124654e-324 0\n7 0\n"
+    )
+    assert (tmp_path / "g.wit").read_text() == (
+        "WITS bitflip -1 1 2\nWIT bitflip 1\n1 2\n1 0\n-0 0\n"
+        "WIT bitflip 2\n2 1\n0.25 0\n-0 -9.9998886718268301e-321\n"
+    )
+
+
+def test_reader_skips_blank_lines_and_keeps_signed_zeros(tmp_path):
+    path = tmp_path / "a.mat"
+    path.write_bytes(b"MAT1 1 2\r\n\r\n  1 -0\r\n\r\n\t\n-0 2\r\n")
+    a = read_mat(path)
+    assert a.tolist() == [[1, 2j]]
+    assert np.signbit(a.imag).tolist() == [[True, False]] and np.signbit(a.real).tolist() == [[False, True]]
+    write_mat(path, a)
+    assert np.signbit(read_mat(path).imag[0, 0])
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e300, -1.0, 2.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _cmatrix(rows, cols):
+    return arrays(np.float64, (rows, cols, 2), elements=_ENTRIES).map(lambda a: a.view(np.complex128)[..., 0])
+
+
+@st.composite
+def _any_mat(draw):
+    return draw(_cmatrix(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+
+
+@st.composite
+def _any_vec(draw):
+    return draw(_cmatrix(2 ** draw(st.integers(0, 4)), 1))[:, 0]
+
+
+@st.composite
+def _any_mps(draw):
+    p = draw(st.integers(1, 3))
+    boundary = draw(st.sampled_from(["open", "periodic"]))
+    end = 1 if boundary == "open" else draw(st.integers(1, 3))
+    dims = [end, *draw(st.lists(st.integers(1, 3), min_size=p - 1, max_size=p - 1)), end]
+    pairs = [(draw(_cmatrix(dims[j], dims[j + 1])), draw(_cmatrix(dims[j], dims[j + 1]))) for j in range(p)]
+    return MPSState(pairs, boundary=boundary)
+
+
+@st.composite
+def _any_witness(draw):
+    mats = draw(st.lists(_any_mat(), max_size=3))
+    return SymmetryWitness(
+        kind=draw(st.sampled_from(SYMMETRY_KINDS)),
+        sign=draw(st.sampled_from([1, -1])),
+        block_len=draw(st.integers(1, 3)),
+        matrices=tuple(mats) or None,
+    )
+
+
+def _exact(obj):
+    """Everything a file stores, with floats as raw bytes so -0.0 != 0.0."""
+    if isinstance(obj, MPSState):
+        return obj.boundary, [(a.shape, a.tobytes()) for pair in obj.sites for a in pair]
+    if isinstance(obj, SymmetryWitness):
+        return obj.kind, obj.sign, obj.block_len, [(m.shape, m.tobytes()) for m in obj.matrices or ()]
+    return obj.shape, obj.tobytes()
+
+
+_CODECS = {
+    "mat": (write_mat, read_mat, _any_mat()),
+    "vec": (write_vec, read_vec, _any_vec()),
+    "mps": (write_mps, read_mps, _any_mps()),
+    "wit": (write_witness, read_witness, _any_witness()),
+}
+_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("fmt", sorted(_CODECS))
+@_FUZZ
+@given(data=st.data())
+def test_roundtrip_is_bit_exact(tmp_path, fmt, data):
+    write, read, values = _CODECS[fmt]
+    value = data.draw(values)
+    path = tmp_path / f"x.{fmt}"
+    write(path, value)
+    assert _exact(read(path)) == _exact(value)
+
+
+@pytest.mark.parametrize("fmt", sorted(_CODECS))
+@_FUZZ
+@given(data=st.data())
+def test_damaged_file_reads_or_raises_format_error(tmp_path, fmt, data):
+    write, read, values = _CODECS[fmt]
+    path = tmp_path / f"x.{fmt}"
+    write(path, data.draw(values))
+    raw = path.read_bytes()
+    tokens = list(re.finditer(rb"\S+", raw))
+    if data.draw(st.booleans()):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        tok = data.draw(st.sampled_from(tokens))
+        known = sorted({t.group() for t in tokens} | {b"nan", b"-inf", b"1e999", b"-1", b"0", b"#", b"9" * 30, b"open"})
+        new = data.draw(st.one_of(st.sampled_from(known), st.binary(max_size=6)))
+        raw = raw[: tok.start()] + new + raw[tok.end() :]
+    path.write_bytes(raw)
+    try:
+        read(path)
+    except FormatError:
+        pass
+
+
 def test_format_errors(tmp_path):
     bad = tmp_path / "bad.mat"
     bad.write_text("MAT2 2 2\n")
@@ -86,6 +219,10 @@ def test_format_errors(tmp_path):
         ("MPS1 1 open\nDIMS 1 1000000\nSITE 1\nA0 1 1000000\n0 0\n", "1000000 entries"),
         ("WITS bitflip +1 1 z\n", "expected an integer"),
         ("WITS bitflip +1 1 1\nWIT bitflip 1\n4000 4000\n", "16000000 entries"),
+        ("MAT1 1 2\n1 0\n1 0 0\n", "'<re> <im>'"),
+        ("MAT1 1 2\n1 0 0\n1 0 0\n", "'<re> <im>'"),
+        ("MAT1 1 1\n1 x\n", "'<re> <im>'"),
+        ("MAT1 1 1\n1 0 # c\n", "'<re> <im>'"),
     ],
     ids=lambda v: v.split("\n")[0] if "\n" in v else None,
 )
@@ -385,12 +522,22 @@ def test_cli_ham_build_too_large(tmp_path, capsys):
         (("struct", "classify", "{dir}/int.mat"), "expected an integer"),
         (("mps", "from-vector", "{dir}/big.vec", "--out", "{dir}/out.mps"), "2\\^40 entries"),
         (("struct", "classify", "{dir}/missing.mat"), "No such file"),
+        (("struct", "classify", "{dir}/bytes.mat"), "'<re> <im>'"),
+        (("mps", "from-vector", "{dir}/ghz.vec", "--tol", "nan", "--out", "{dir}/out.mps"), "tol .* got nan"),
+        (("mps", "truncate", "{dir}/ghz.mps", "--tol", "nan", "--out", "{dir}/out.mps"), "tol .* got nan"),
+        (("struct", "classify", "{dir}/eye.mat", "--tol", "nan"), "tol .* got nan"),
+        (("ham", "certify", "--model", "hx", "--p", "2", "--tol", "inf"), "tol .* got inf"),
+        (("sym", "detect", "{dir}/ghz.vec", "--tol", "nan"), "tol .* got nan"),
+        (("sym", "detect", "{dir}/ghz.vec", "--tol", "-1"), "tol .* got -1"),
     ],
 )
 def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):
     ghz = np.zeros(8)
     ghz[0] = ghz[-1] = 1.0
     write_mps(tmp_path / "ghz.mps", from_vector(ghz))
+    write_vec(tmp_path / "ghz.vec", ghz)
+    write_mat(tmp_path / "eye.mat", np.eye(2))
+    (tmp_path / "bytes.mat").write_bytes(b"MAT1 1 1\n\xff 0\n")
     (tmp_path / "nan.mat").write_text("MAT1 1 2\nnan 0\n1 0\n")
     (tmp_path / "nan.vec").write_text("VEC1 1\n1 0\nnan 0\n")
     (tmp_path / "int.mat").write_text("MAT1 x 2\n0 0\n0 0\n")
