@@ -98,7 +98,7 @@ def _run_ham(args, rep: Report) -> None:
         _flags_report(rep, flags)
     elif args.verb == "spectrum":
         h = hamiltonian.assemble(_spec_from_args(args))
-        values = np.linalg.eigvalsh(h)
+        values, _, _ = hamiltonian._solve(h, lowest=False)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(_g17(v) for v in values) + "\n")

@@ -6,7 +6,8 @@ followed by the body of that matrix: one ``<re> <im>`` line per entry, row
 major.  Values are written with 17 significant digits, so a write/read round
 trip reproduces every float64 exactly, signed zeros and subnormals included.
 Readers skip blank lines, require exactly two finite numbers on every entry
-line, and raise FormatError on any malformed header or entry line.
+line, and raise FormatError on any malformed header or entry line, and on
+any non-blank line after the last body the headers promise.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ class _Reader:
         """Lines not read yet: an upper bound on the entries still to come."""
         return len(self.lines) - self.pos
 
+    def done(self) -> None:
+        """Raise FormatError unless every non-blank line has been read."""
+        if self.left():
+            raise self.error(f"{self.left()} non-blank line(s) after the last body, the first {self.lines[self.pos].strip()!r}")
+
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         """The next rows*cols entry lines as a complex matrix, row major."""
         n = rows * cols
@@ -98,7 +104,9 @@ def write_mat(path, a) -> None:
 def read_mat(path) -> np.ndarray:
     r = _Reader(path)
     rows, cols = r.header("MAT1", 3, "MAT1 <rows> <cols>")
-    return r.matrix(r.int(rows, 1), r.int(cols, 1))
+    m = r.matrix(r.int(rows, 1), r.int(cols, 1))
+    r.done()
+    return m
 
 
 def write_vec(path, x) -> None:
@@ -116,7 +124,9 @@ def read_vec(path) -> np.ndarray:
     # compare exponents first so a huge p never builds 2**p
     if p >= r.left().bit_length():
         raise r.error(f"header promises 2^{p} entries, but only {r.left()} lines remain")
-    return r.matrix(2**p, 1).reshape(-1)
+    v = r.matrix(2**p, 1).reshape(-1)
+    r.done()
+    return v
 
 
 def write_mps(path, m: MPSState) -> None:
@@ -141,6 +151,7 @@ def read_mps(path) -> MPSState:
                 raise r.error(f"site {j} shape {rows}x{cols} contradicts DIMS")
             pair.append(r.matrix(rows, cols))
         sites.append(pair)
+    r.done()
     try:
         return MPSState(sites, boundary=boundary)
     except SymttError as exc:
@@ -164,6 +175,7 @@ def read_witness(path) -> SymmetryWitness:
         r.header(f"WIT {kind} {j}", 3, f"WIT {kind} {j}")
         rows, cols = (r.int(t, 1) for t in r.header("", 2, "<rows> <cols>"))
         mats.append(r.matrix(rows, cols))
+    r.done()
     try:
         return SymmetryWitness(kind=kind, sign=sign, block_len=block_len, matrices=tuple(mats) or None)
     except SymttError as exc:

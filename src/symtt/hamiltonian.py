@@ -15,6 +15,14 @@ Kronecker fold would, and each one multiplies by a whole factor as
 ``np.kron`` does, so numpy rounds it the same way (fused or not) however
 sparse the factor is: the entries are bit-identical to the fold for any
 factors.  A guard of ``MAX_DENSE_BYTES`` bounds the one dense allocation.
+
+``ground_state`` (and the CLI's ``ham spectrum``) use the paper's split where
+it is exact.  The exchange J reverses the basis order, which for spin-1/2 is
+the global spin flip X^{(x)p}.  An assembled h that is exactly real
+symmetric, of even order and equal to J h J entry for entry (every spin-1/2
+model but hy and hz) is diagonalized as its two half-size blocks B + JC and
+B - JC, in real arithmetic.  Spin-1 models (odd order 3^p), hy (complex) and
+hz (odd under the flip) take one full ``eigh``.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from .linalg import EPS_LIN, as_cmatrix, eigh, fourier_matrix, frob, kron_chain
-from .structured import EPS_STRUCT, StructureFlags, classify
+from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, fourier_matrix, frob, kron_chain
+from .structured import EPS_STRUCT, StructureFlags, _half_blocks, classify
 
 #: dense assembly guard: bytes of the complex128 d^p x d^p result
 MAX_DENSE_BYTES = 2**30
@@ -338,23 +346,59 @@ class SpectrumReport:
     ground_energy: float
     ground_vector: np.ndarray
     gap: float
+    #: orders of the blocks diagonalized: (n/2, n/2) for the B +- JC split,
+    #: (n,) for one full eigh
+    sector_sizes: tuple[int, ...]
+    #: ||h v - E v||_F of the returned ground pair, against the full h
+    residual: float
+
+
+def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray | None, tuple[int, ...]]:
+    """All eigenvalues of an assembled Hamiltonian h, ascending, its lowest
+    eigenvector (None unless ``lowest``) and the orders of the blocks solved.
+
+    An exactly real symmetric h of even order with h == J h J is taken by the
+    orthogonal q of ``structured.block_diagonalize`` to diag(B + JC, B - JC).
+    The two blocks are solved on their own, in real arithmetic, their values
+    merged, and only the lowest eigenvector u is lifted back: to
+    (u; Ju)/sqrt(2) from B + JC, to (u; -Ju)/sqrt(2) from B - JC.  Any other
+    h is solved whole.  Without ``lowest`` no eigenvectors are computed.
+    """
+    n = h.shape[0]
+    split = n % 2 == 0 and not h.imag.any() and np.array_equal(h, h.T) and np.array_equal(h, h[::-1, ::-1])
+    blocks = _half_blocks(h.real) if split else (h,)
+    sizes = tuple(len(b) for b in blocks)
+    if not lowest:
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])), None, sizes
+    if not split:
+        res = eigh(h)
+        return res.values, np.ascontiguousarray(res.vectors[:, 0]), sizes
+    plus, minus = (eigh(b) for b in blocks)
+    sign = 1.0 if plus.values[0] <= minus.values[0] else -1.0
+    u = (plus if sign > 0 else minus).vectors[:, 0]
+    vec = np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
+    _fix_phases(vec[:, None], None)
+    return np.sort(np.concatenate([plus.values, minus.values])), vec, sizes
 
 
 def ground_state(spec: HamiltonianSpec) -> SpectrumReport:
     """Full spectrum plus the lowest eigenpair of a (small) model.
 
-    Raises ``ResidualError`` when the eigenpair misses its residual bound.
+    The spectrum comes from the B +- JC blocks when the assembled matrix
+    allows the split exactly (see the module docstring), else from one full
+    ``eigh``; the ground vector has ``eigh``'s phase convention either way.
+    Raises ``ResidualError`` when the eigenpair misses its residual bound
+    against the full matrix.
     """
     dim = spec.d**spec.p
     if dim > MAX_EIG_DIM:
         raise TooLargeError(f"full eigendecomposition of dimension {dim} exceeds the {MAX_EIG_DIM} guard")
     h = assemble(spec)
-    res = eigh(h)
-    values = res.values
+    values, vec, sizes = _solve(h)
     gap = float(values[1] - values[0]) if len(values) > 1 else 0.0
-    vec = np.ascontiguousarray(res.vectors[:, 0])
     residual = frob(h @ vec - values[0] * vec)
     bound = max(EPS_LIN * frob(h) * 10, 1e-9)
     if not residual <= bound:  # also rejects a NaN residual
         raise ResidualError(f"ground eigenpair residual {residual:.3e} exceeds its bound {bound:.3e}")
-    return SpectrumReport(values=values, ground_energy=float(values[0]), ground_vector=vec, gap=gap)
+    return SpectrumReport(values=values, ground_energy=float(values[0]), ground_vector=vec, gap=gap,
+                          sector_sizes=sizes, residual=residual)

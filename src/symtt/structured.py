@@ -204,12 +204,19 @@ def block_diagonalize(a) -> BlockPair:
     if n % 2:
         raise OddSizeError(f"block_diagonalize requires even size, got {n}")
     h = n // 2
-    b, c = m[:h, :h], m[h:, :h]
-    jc = c[::-1, :]  # J @ c
     eye = np.eye(h, dtype=np.complex128)
     j = exchange_matrix(h)
     q = np.block([[eye, j], [eye, -j]]) / np.sqrt(2.0)
-    return BlockPair(b_plus=b + jc, b_minus=b - jc, q=q)
+    b_plus, b_minus = _half_blocks(m)
+    return BlockPair(b_plus=b_plus, b_minus=b_minus, q=q)
+
+
+def _half_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B + JC and B - JC of an even-order matrix, with B its top-left and C
+    its bottom-left quarter; no structure check."""
+    h = m.shape[0] // 2
+    b, jc = m[:h, :h], m[h:, :h][::-1]  # jc = J @ C
+    return b + jc, b - jc
 
 
 @dataclass(frozen=True)

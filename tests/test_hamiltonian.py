@@ -18,8 +18,8 @@ from symtt import (
     spin1,
 )
 from symtt.errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec
-from symtt.linalg import EighResult, dagger, frob
+from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _solve
+from symtt.linalg import EPS_LIN, EighResult, dagger, frob
 
 from conftest import dense_reference, random_complex
 
@@ -322,13 +322,64 @@ def test_ground_state_guard():
 
 
 def test_ground_state_residual_check(monkeypatch):
+    # ground_state's solver calls hamiltonian.eigh on the B +- JC blocks for
+    # hx and on the whole matrix for hy; wrong vectors must trip the check
+    # against the full h on both paths
     def wrong_eigh(h):
+        orders.append(len(h))
         values = np.linalg.eigvalsh(h)
         return EighResult(values, np.eye(len(values), dtype=np.complex128))
 
     monkeypatch.setattr("symtt.hamiltonian.eigh", wrong_eigh)
-    with pytest.raises(ResidualError, match=r"residual .* exceeds its bound"):
-        ground_state(model("hx", 2))
+    for name, want in (("hx", [2, 2]), ("hy", [4])):
+        orders = []
+        with pytest.raises(ResidualError, match=r"residual .* exceeds its bound"):
+            ground_state(model(name, 2))
+        assert orders == want
+
+
+def _split_expected(spec) -> bool:
+    """Spin-1/2 models but hy (complex) and hz (odd under the global flip)."""
+    return spec.d == 2 and spec.name not in ("hy", "hz")
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_ground_state_matches_dense_eigh(name):
+    """The sector solver against numpy's full complex eigh of the assembled
+    matrix: p <= 8 for spin-1/2, p <= 5 for spin-1, both boundaries, default
+    and seeded couplings."""
+    rng = np.random.default_rng(1301)
+    p_max = 8 if name not in ("aklt", "bilinear_biquadratic") else 5
+    for p in range(1, p_max + 1):
+        for boundary in ("open", "periodic"):
+            for params in (None, {k: float(rng.uniform(-1.5, 1.5)) for k in ("jx", "jy", "jz", "lam", "theta")}):
+                spec = model(name, p, params, boundary)
+                h = assemble(spec)
+                want_w, want_v = np.linalg.eigh(h)
+                rep = ground_state(spec)
+                scale = max(1.0, np.abs(want_w).max())
+                dim = len(want_w)
+                split = _split_expected(spec)
+                if p == 1 and boundary == "periodic":
+                    # the self-bond (0, 0) keeps one factor, so ZZ is Z there
+                    split = np.array_equal(h, h[::-1, ::-1]) and split
+                assert rep.sector_sizes == ((dim // 2, dim // 2) if split else (dim,))
+                assert np.max(np.abs(rep.values - want_w)) <= 1e-12 * scale
+                assert rep.ground_energy == rep.values[0]
+                if dim > 1:
+                    assert abs(rep.gap - (want_w[1] - want_w[0])) <= 1e-12 * scale
+                v = rep.ground_vector
+                assert rep.residual == frob(h @ v - rep.ground_energy * v)
+                assert rep.residual <= max(10 * EPS_LIN * frob(h), 1e-9)
+                values, no_vector, sizes = _solve(h, lowest=False)
+                assert no_vector is None and sizes == rep.sector_sizes
+                assert np.max(np.abs(values - want_w)) <= 1e-12 * scale
+                if dim > 1 and rep.gap > 1e-8:
+                    assert abs(abs(np.vdot(want_v[:, 0], v)) - 1.0) <= 1e-10
+                    z = v[np.argmax(np.abs(v))]
+                    assert abs(z.imag) < 1e-13 and z.real > 0
+                    if split:  # (u; +-Ju)/sqrt(2) is exactly J-even or J-odd
+                        assert np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v)
 
 
 def test_ground_vectors_j_symmetry(rng):

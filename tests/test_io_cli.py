@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import symtt
 from symtt import MPSState, SymmetryWitness, from_vector, to_vector
 from symtt.cli import main
 from symtt.errors import FormatError
@@ -223,6 +226,10 @@ def test_format_errors(tmp_path):
         ("MAT1 1 2\n1 0 0\n1 0 0\n", "'<re> <im>'"),
         ("MAT1 1 1\n1 x\n", "'<re> <im>'"),
         ("MAT1 1 1\n1 0 # c\n", "'<re> <im>'"),
+        ("MAT1 1 1\n1 0\n5 5\n", "bad.txt: .* after the last body, the first '5 5'"),
+        ("VEC1 0\n1 0\n\n2 0\n3 0\n", "bad.txt: 2 non-blank .* the first '2 0'"),
+        ("MPS1 1 open\nDIMS 1 1\nSITE 1\nA0 1 1\n1 0\nA1 1 1\n0 0\nSITE 2\n", "bad.txt: .* the first 'SITE 2'"),
+        ("WITS bitflip +1 1 1\nWIT bitflip 1\n1 1\n1 0\n1 0\n", "bad.txt: .* after the last body, the first '1 0'"),
     ],
     ids=lambda v: v.split("\n")[0] if "\n" in v else None,
 )
@@ -306,6 +313,21 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["ham", "build", "--model", "not_a_model", "--p", "2", "--out", "x"])
     assert exc.value.code == 2
+
+
+def test_cli_start_up_never_loads_scipy(tmp_path):
+    # only linalg.schur needs scipy, and it imports scipy.linalg itself
+    script = (
+        "import sys\n"
+        "import symtt.cli\n"
+        "code = symtt.cli.main(['ham', 'ground', '--model', 'heis_xxz', '--p', '4', '--out', 'g.mat'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(symtt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_deterministic_output(tmp_path):

@@ -126,6 +126,31 @@ def test_eigh_real_symmetric_real_vectors(rng):
     assert np.max(np.abs(v.imag)) < EPS_LIN
 
 
+def test_eigh_exactly_real_input_runs_real_lapack(rng, monkeypatch):
+    drivers = []
+    numpy_eigh = np.linalg.eigh
+
+    def spy(m):
+        drivers.append(m.dtype)
+        return numpy_eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    a = rng.standard_normal((9, 9))
+    a = a + a.T
+    w, v = eigh(a.astype(np.complex128))
+    herm = random_hermitian(rng, 9)
+    eigh(herm)
+    assert drivers == [np.float64, np.complex128]
+    assert v.dtype == np.complex128 and not v.imag.any()
+    want_w, want_v = numpy_eigh(a.astype(np.complex128))
+    assert np.max(np.abs(w - want_w)) <= 1e-12 * np.max(np.abs(want_w))
+    # distinct eigenvalues: the same vectors up to sign, with the largest
+    # entry of each positive
+    assert np.allclose(np.abs(np.sum(v.conj() * want_v, axis=0)), 1.0, atol=1e-12)
+    for k in range(9):
+        assert v[np.argmax(np.abs(v[:, k])), k].real > 0
+
+
 def test_schur_cases(rng):
     q, t = schur(np.diag([2.0, 5.0]))
     assert set(np.round(np.diag(t).real, 12)) == {2.0, 5.0}
