@@ -33,11 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, fourier_matrix, frob, kron_chain
+from .linalg import EPS_LIN, MAX_DENSE_BYTES, _fix_phases, as_cmatrix, eigh, fourier_matrix, frob, kron_chain
 from .structured import EPS_STRUCT, StructureFlags, _half_blocks, classify
 
-#: dense assembly guard: bytes of the complex128 d^p x d^p result
-MAX_DENSE_BYTES = 2**30
 #: full-eigendecomposition guard for ground states
 MAX_EIG_DIM = 1024
 
@@ -158,7 +156,8 @@ def _one_site(p: int, k: int, op: np.ndarray, coeff: float) -> LocalTermSpec:
 def _two_site(p: int, k: int, l: int, op_k: np.ndarray, op_l: np.ndarray, coeff: float) -> LocalTermSpec:
     factors: list[np.ndarray | None] = [None] * p
     factors[k] = op_k
-    factors[l] = op_l
+    # a self-bond (k == l, the wrap-around bond of a 1-site ring) is op_k op_l
+    factors[l] = op_k @ op_l if k == l else op_l
     return LocalTermSpec(coeff, tuple(factors))
 
 

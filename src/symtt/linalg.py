@@ -28,6 +28,9 @@ from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMisma
 EPS_LIN = 1e-12
 #: relative singular-value cutoff defining numerical rank
 EPS_RANK = 1e-12
+#: size guard of the dense allocations (an assembled Hamiltonian, the
+#: accumulator of an MPS contraction, a site-independent chain)
+MAX_DENSE_BYTES = 2**30
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -51,8 +54,8 @@ def as_cvector(x) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each matrix of a stack such as an MPS site)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frob(a: np.ndarray) -> float:

@@ -5,14 +5,17 @@ Conventions used throughout:
 * component i of the represented vector is the trace of
   A_1^(i_1) A_2^(i_2) ... A_p^(i_p), where (i_1, ..., i_p) are the bits of i
   with i_1 most significant;
-* site j holds a pair of D_j x D_{j+1} matrices; open boundary means
+* site j is one C-contiguous complex128 array of shape (2, D_j, D_{j+1}),
+  the three-index core of a tensor train: ``site[b]`` is the matrix
+  A_j^(b), and ``a0, a1 = m.sites[j]`` unpacks the pair; open boundary means
   D_1 = D_{p+1} = 1, periodic means D_1 = D_{p+1} (trace then matters);
 * "left gauge" at a site: A0^H A0 + A1^H A1 = I; "right gauge":
   A0 A0^H + A1 A1^H = I.
 
 Every contraction to components (``eval_component``, ``to_vector`` and the
 reverse normal form's vector) goes through one fold, ``_contract``; every
-rank cut (TT-SVD, sweeps, truncation) goes through ``linalg.split``.
+rank cut (TT-SVD, sweeps, truncation) goes through ``linalg.split``, whose
+factors are reshaped into sites without splitting them into matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from .linalg import as_cvector, dagger, frob, split, svd
+from .linalg import MAX_DENSE_BYTES, as_cvector, dagger, frob, split, svd
 
 #: evaluation guard
 MAX_VECTOR_DIM = 2**20
@@ -38,11 +41,16 @@ EPS_GAUGE = 1e-8
 
 
 class MPSState:
-    """Immutable chain of per-site matrix pairs.
+    """Immutable chain of MPS sites.
+
+    Each site is stored as one C-contiguous complex128 array of shape
+    (2, D_j, D_{j+1}) holding the pair (A_j^(0), A_j^(1)), so
+    ``a0, a1 = m.sites[j]`` still unpacks it.
 
     Parameters
     ----------
-    sites : sequence of (a0, a1) pairs, one per physical site
+    sites : sequence of (a0, a1) pairs or (2, D_j, D_{j+1}) arrays, one per
+        physical site; each is copied
     boundary : "open" or "periodic"
     """
 
@@ -51,27 +59,29 @@ class MPSState:
     def __init__(self, sites, boundary: str = "open"):
         if boundary not in ("open", "periodic"):
             raise BadParamsError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
-        pairs = []
-        for j, (a0, a1) in enumerate(sites):
-            m0 = np.array(a0, dtype=np.complex128)
-            m1 = np.array(a1, dtype=np.complex128)
-            if m0.ndim != 2 or m1.ndim != 2 or m0.shape != m1.shape:
+        cores = []
+        for j, pair in enumerate(sites):
+            try:
+                core = np.array(pair, dtype=np.complex128, order="C")
+            except ValueError:  # numpy's error for matrices of unequal shape
+                core = None
+            if core is None or core.ndim != 3 or len(core) != 2:
                 raise ShapeMismatchError(f"site {j + 1}: the two matrices must share a 2-D shape")
-            pairs.append((m0, m1))
-        if not pairs:
+            cores.append(core)
+        if not cores:
             raise ShapeMismatchError("an MPS needs at least one site")
-        for j in range(len(pairs) - 1):
-            if pairs[j][0].shape[1] != pairs[j + 1][0].shape[0]:
+        for j in range(len(cores) - 1):
+            if cores[j].shape[2] != cores[j + 1].shape[1]:
                 raise ShapeMismatchError(
                     f"bond mismatch between sites {j + 1} and {j + 2}: "
-                    f"{pairs[j][0].shape} -> {pairs[j + 1][0].shape}"
+                    f"{cores[j].shape[1:]} -> {cores[j + 1].shape[1:]}"
                 )
-        first, last = pairs[0][0].shape[0], pairs[-1][0].shape[1]
+        first, last = cores[0].shape[1], cores[-1].shape[2]
         if boundary == "open" and (first != 1 or last != 1):
             raise ShapeMismatchError("open boundary requires D_1 = D_{p+1} = 1")
         if boundary == "periodic" and first != last:
             raise ShapeMismatchError("periodic boundary requires D_1 = D_{p+1}")
-        self.sites = tuple(pairs)
+        self.sites = tuple(cores)
         self.boundary = boundary
 
     @property
@@ -80,7 +90,7 @@ class MPSState:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(s[0].shape[0] for s in self.sites) + (self.sites[-1][0].shape[1],)
+        return tuple(s.shape[1] for s in self.sites) + (self.sites[-1].shape[2],)
 
     def __repr__(self):
         return f"MPSState(p={self.p}, boundary={self.boundary!r}, dims={self.dims})"
@@ -109,19 +119,31 @@ def eval_component(m: MPSState, bits) -> complex:
         raise ShapeMismatchError(f"need {m.p} bits, got {len(bits)}")
     if any(str(b) not in ("0", "1") for b in bits):
         raise BadParamsError(f"bits must be 0 or 1, got {bits}")
-    picked = [(a1 if int(b) else a0)[None] for (a0, a1), b in zip(m.sites, bits)]
+    picked = [site[int(b)][None] for site, b in zip(m.sites, bits)]
     return complex(_contract(picked)[0])
 
 
 def to_vector(m: MPSState) -> np.ndarray:
-    """Dense vector of all 2^p components, index bit i_1 most significant."""
+    """Dense vector of all 2^p components, index bit i_1 most significant.
+
+    Besides the 2^p output, ``_contract`` holds 2^(p-j+1) D_j x D_{p+1}
+    matrices after folding sites j..p; the largest of these accumulators
+    must fit in MAX_DENSE_BYTES.
+    """
     if 2**m.p > MAX_VECTOR_DIM:
         raise TooLargeError(f"dense evaluation of 2^{m.p} components exceeds the guard")
-    return _contract([np.stack(pair) for pair in m.sites])
+    dims = m.dims
+    nbytes = 16 * dims[-1] * max(2 ** (m.p - j) * dims[j] for j in range(m.p))
+    if nbytes > MAX_DENSE_BYTES:
+        raise TooLargeError(
+            f"contraction needs a {nbytes}-byte accumulator, "
+            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
+        )
+    return _contract(m.sites)
 
 
 def _tt_cores(x: np.ndarray, tol: float) -> tuple[list, list]:
-    """TT-SVD sweep; returns (site pairs, per-bond singular values)."""
+    """TT-SVD sweep; returns (sites, per-bond singular values)."""
     n = len(x)
     p = n.bit_length() - 1
     if 2**p != n:
@@ -130,17 +152,15 @@ def _tt_cores(x: np.ndarray, tol: float) -> tuple[list, list]:
     lambdas = []
     c = x.reshape(1, n)
     for _ in range(p - 1):
-        rows = c.shape[0]
-        c = c.reshape(rows * 2, -1)
+        c = c.reshape(c.shape[0] * 2, -1)
         u, s, vh = split(c, tol)
         if s[0] == 0.0:
             raise ZeroVectorError("vector must be nonzero")
-        # row index of c is (bond, bit) with the bit fastest, so the two
-        # site matrices are the even/odd row slices of u
-        sites.append((u[0::2].copy(), u[1::2].copy()))
+        # row index of c is (bond, bit) with the bit fastest
+        sites.append(u.reshape(-1, 2, len(s)).swapaxes(0, 1))
         lambdas.append(s)
         c = s[:, None] * vh
-    sites.append((c[:, :1].copy(), c[:, 1:].copy()))
+    sites.append(c.T[:, :, None])
     return sites, lambdas
 
 
@@ -181,36 +201,37 @@ class GaugeReport:
         return max((max(v) for v in parts), default=0.0)
 
 
-def _left_residual(a0, a1) -> float:
-    g = dagger(a0) @ a0 + dagger(a1) @ a1
+def _left_residual(site) -> float:
+    g = (dagger(site) @ site).sum(axis=0)
     return frob(g - np.eye(g.shape[0]))
 
 
-def _right_residual(a0, a1) -> float:
-    g = a0 @ dagger(a0) + a1 @ dagger(a1)
+def _right_residual(site) -> float:
+    g = (site @ dagger(site)).sum(axis=0)
     return frob(g - np.eye(g.shape[0]))
 
 
-def _strong_residual(a0, a1) -> float:
-    g0 = dagger(a0) @ a0
+def _strong_residual(site) -> float:
+    g0 = dagger(site[0]) @ site[0]
     off = frob(g0 - np.diag(np.diag(g0)))
-    return max(_left_residual(a0, a1), off)
+    return max(_left_residual(site), off)
 
 
 def check_gauge(m: MPSState) -> GaugeReport:
     """Left, right, and strong gauge residuals at every site."""
-    left = tuple(_left_residual(a0, a1) for a0, a1 in m.sites)
-    right = tuple(_right_residual(a0, a1) for a0, a1 in m.sites)
-    strong = tuple(_strong_residual(a0, a1) for a0, a1 in m.sites)
+    left = tuple(map(_left_residual, m.sites))
+    right = tuple(map(_right_residual, m.sites))
+    strong = tuple(map(_strong_residual, m.sites))
     return GaugeReport(left=left, right=right, strong=strong)
 
 
 @dataclass(frozen=True)
 class VidalForm:
-    """Gamma/Lambda factorization: p site pairs and p-1 positive descending
-    singular-value vectors (the Schmidt coefficients of each bond)."""
+    """Gamma/Lambda factorization: p sites of shape (2, D_j, D_{j+1}) and p-1
+    positive descending singular-value vectors (the Schmidt coefficients of
+    each bond)."""
 
-    gammas: tuple[tuple[np.ndarray, np.ndarray], ...]
+    gammas: tuple[np.ndarray, ...]
     lambdas: tuple[np.ndarray, ...]
 
     @property
@@ -229,11 +250,7 @@ def vidal_from_vector(x) -> VidalForm:
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise NotNormalizedError("vidal_from_vector requires a unit-norm vector")
     sites, lambdas = _tt_cores(v, 0.0)
-    gammas = [sites[0]]
-    for j in range(1, len(sites)):
-        a0, a1 = sites[j]
-        inv = (1.0 / lambdas[j - 1])[:, None]
-        gammas.append((inv * a0, inv * a1))
+    gammas = [sites[0]] + [(1.0 / lam)[:, None] * site for lam, site in zip(lambdas, sites[1:])]
     return VidalForm(gammas=tuple(gammas), lambdas=tuple(lambdas))
 
 
@@ -245,15 +262,11 @@ def vidal_to_a(v: VidalForm, side: str = "left") -> MPSState:
     """
     if side not in ("left", "right"):
         raise BadParamsError(f"side must be 'left' or 'right', got {side!r}")
-    sites = []
-    for j, (g0, g1) in enumerate(v.gammas):
-        if side == "left":
-            lam = v.lambdas[j - 1][:, None] if j > 0 else 1.0
-            sites.append((lam * g0, lam * g1))
-        else:
-            lam = v.lambdas[j][None, :] if j < len(v.lambdas) else 1.0
-            sites.append((g0 * lam, g1 * lam))
-    return MPSState(sites, boundary="open")
+    if side == "left":
+        lams = [1.0] + [lam[:, None] for lam in v.lambdas]
+    else:
+        lams = [lam[None, :] for lam in v.lambdas] + [1.0]
+    return MPSState([lam * np.asarray(g) for lam, g in zip(lams, v.gammas)], boundary="open")
 
 
 def check_vidal(v: VidalForm) -> GaugeReport:
@@ -263,47 +276,29 @@ def check_vidal(v: VidalForm) -> GaugeReport:
     summing to Lambda_{j-1}^2 (A the left contraction); the right pair is the
     mirrored statement on the right contraction.
     """
-    left_state = vidal_to_a(v, "left")
-    right_state = vidal_to_a(v, "right")
-    p = v.p
     lam2 = [np.array([1.0])] + [lam**2 for lam in v.lambdas] + [np.array([1.0])]
     vidal_left = []
     vidal_right = []
-    for j in range(p):
-        a0, a1 = left_state.sites[j]
-        cond_a = _left_residual(a0, a1)
-        g = a0 @ np.diag(lam2[j + 1]) @ dagger(a0) + a1 @ np.diag(lam2[j + 1]) @ dagger(a1)
-        cond_b = frob(g - np.diag(lam2[j]))
-        vidal_left.append(max(cond_a, cond_b))
-
-        b0, b1 = right_state.sites[j]
-        cond_a = _right_residual(b0, b1)
-        g = dagger(b0) @ np.diag(lam2[j]) @ b0 + dagger(b1) @ np.diag(lam2[j]) @ b1
-        cond_b = frob(g - np.diag(lam2[j + 1]))
-        vidal_right.append(max(cond_a, cond_b))
+    sites = zip(vidal_to_a(v, "left").sites, vidal_to_a(v, "right").sites)
+    for j, (a, b) in enumerate(sites):
+        g = (a @ np.diag(lam2[j + 1]) @ dagger(a)).sum(axis=0)
+        vidal_left.append(max(_left_residual(a), frob(g - np.diag(lam2[j]))))
+        g = (dagger(b) @ np.diag(lam2[j]) @ b).sum(axis=0)
+        vidal_right.append(max(_right_residual(b), frob(g - np.diag(lam2[j + 1]))))
     return GaugeReport(vidal_left=tuple(vidal_left), vidal_right=tuple(vidal_right))
 
 
-def _split_rows(u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    return u[:d].copy(), u[d:].copy()
-
-
-def _split_cols(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    return v[:, :d].copy(), v[:, d:].copy()
-
-
-def _sweep_pair(left_pair, right_pair, direction: str):
-    """SVD re-gauge of one neighboring pair; preserves all four products."""
-    a0, a1 = left_pair
-    b0, b1 = right_pair
-    t = np.block([[a0 @ b0, a0 @ b1], [a1 @ b0, a1 @ b1]])
+def _sweep_pair(a: np.ndarray, b: np.ndarray, direction: str):
+    """SVD re-gauge of two neighboring sites; preserves all four products."""
+    dl, dr = a.shape[1], b.shape[2]
+    # row index of t is (left bit, D_j), column index (right bit, D_{j+2})
+    t = (a[:, None] @ b[None]).swapaxes(1, 2).reshape(2 * dl, 2 * dr)
     u, s, vh = split(t)
-    dl, dr = a0.shape[0], b0.shape[1]
     if direction == "left":
-        carry = s[:, None] * vh
-        return _split_rows(u, dl), _split_cols(carry, dr)
-    carry = u * s[None, :]
-    return _split_rows(carry, dl), _split_cols(vh, dr)
+        vh = s[:, None] * vh
+    else:
+        u = u * s[None, :]
+    return u.reshape(2, dl, len(s)), vh.reshape(len(s), 2, dr).swapaxes(0, 1)
 
 
 def two_site_sweep(m: MPSState, direction: str) -> MPSState:
@@ -316,20 +311,18 @@ def two_site_sweep(m: MPSState, direction: str) -> MPSState:
     """
     if direction not in ("left", "right"):
         raise BadParamsError(f"direction must be 'left' or 'right', got {direction!r}")
-    pairs = [(a0.copy(), a1.copy()) for a0, a1 in m.sites]
-    p = len(pairs)
-    if p == 1:
-        return MPSState(pairs, boundary=m.boundary)
+    sites = list(m.sites)
+    p = len(sites)
     if direction == "left":
         for j in range(p - 1):
-            pairs[j], pairs[j + 1] = _sweep_pair(pairs[j], pairs[j + 1], "left")
+            sites[j], sites[j + 1] = _sweep_pair(sites[j], sites[j + 1], "left")
     else:
         for j in range(p - 2, -1, -1):
-            pairs[j], pairs[j + 1] = _sweep_pair(pairs[j], pairs[j + 1], "right")
-        if m.boundary == "periodic":
+            sites[j], sites[j + 1] = _sweep_pair(sites[j], sites[j + 1], "right")
+        if m.boundary == "periodic" and p > 1:
             # push the carrier through the wrap bond so it lands on site p
-            pairs[p - 1], pairs[0] = _sweep_pair(pairs[p - 1], pairs[0], "right")
-    return MPSState(pairs, boundary=m.boundary)
+            sites[p - 1], sites[0] = _sweep_pair(sites[p - 1], sites[0], "right")
+    return MPSState(sites, boundary=m.boundary)
 
 
 def strong_normalize(m: MPSState) -> MPSState:
@@ -352,17 +345,16 @@ def strong_normalize(m: MPSState) -> MPSState:
     out = []
     prev = np.eye(1, dtype=np.complex128)
     p = m.p
-    for j, (a0, a1) in enumerate(m.sites):
+    for j, site in enumerate(m.sites):
         if j == p - 1:
-            out.append((prev @ a0, prev @ a1))
+            out.append(prev @ site)
             break
+        a0, a1 = site
         if j == 0 and a0.shape == (1, 2):
             # the stacked site-1 pair is (numerically) a 2x2 unitary; using it
             # as the outgoing bond rotation pins the site to ((1,0),(0,1))
-            q = np.vstack([a0, a1])
-            out.append((np.array([[1.0, 0.0]], dtype=np.complex128),
-                        np.array([[0.0, 1.0]], dtype=np.complex128)))
-            prev = q
+            out.append(np.eye(2)[:, None])
+            prev = site.reshape(2, 2)
             continue
         u, s, vh = svd(prev @ a0, full_matrices=True)
         sig = np.zeros(a0.shape, dtype=np.complex128)
@@ -386,14 +378,10 @@ def truncate(m: MPSState, d_max: int | None = None, tol: float = 0.0) -> MPSStat
         raise GaugeViolationError("truncate is defined for open chains")
     if d_max is not None and d_max < 1:
         raise BadParamsError(f"d_max must be >= 1, got {d_max}")
-    state = two_site_sweep(m, "right")
-    pairs = [(a0.copy(), a1.copy()) for a0, a1 in state.sites]
-    for j in range(len(pairs) - 1):
-        a0, a1 = pairs[j]
-        u, s, vh = split(np.vstack([a0, a1]), tol, d_max)
-        d = a0.shape[0]
-        pairs[j] = _split_rows(u, d)
-        carry = s[:, None] * vh
-        b0, b1 = pairs[j + 1]
-        pairs[j + 1] = (carry @ b0, carry @ b1)
-    return MPSState(pairs, boundary="open")
+    sites = list(two_site_sweep(m, "right").sites)
+    for j in range(len(sites) - 1):
+        _, d, e = sites[j].shape
+        u, s, vh = split(sites[j].reshape(2 * d, e), tol, d_max)
+        sites[j] = u.reshape(2, d, len(s))
+        sites[j + 1] = (s[:, None] * vh) @ sites[j + 1]
+    return MPSState(sites, boundary="open")

@@ -30,7 +30,7 @@ from .errors import (
     WitnessViolationError,
     ZeroVectorError,
 )
-from .linalg import as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_tol, schur, svd
+from .linalg import MAX_DENSE_BYTES, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
 
 #: default relative tolerance for symmetry detection and verification
@@ -233,7 +233,7 @@ def _swap_block(top: int, bottom: int) -> np.ndarray:
     return s
 
 
-def _direct_sum(m: MPSState, partner) -> list[tuple[np.ndarray, np.ndarray]]:
+def _direct_sum(m: MPSState, partner) -> list[np.ndarray]:
     """Sites of the chain of (x + x')/2, x the vector of m and x' that of the
     partner sites: site j is B_j (+) C_j, side by side at an open site 1,
     stacked at an open site p and block diagonal elsewhere, each scaled by
@@ -241,22 +241,20 @@ def _direct_sum(m: MPSState, partner) -> list[tuple[np.ndarray, np.ndarray]]:
     p = m.p
     obc = m.boundary == "open"
     if obc and p == 1:
-        (b0, b1), (c0, c1) = m.sites[0], partner[0]
-        return [(0.5 * (b0 + c0), 0.5 * (b1 + c1))]
+        return [0.5 * (m.sites[0] + partner[0])]
     scale = 2.0 ** (-1.0 / p)
     sites = []
-    for j, (b_pair, c_pair) in enumerate(zip(m.sites, partner)):
-        pair = []
-        for b, c in zip(b_pair, c_pair):
-            if obc and j == 0:
-                pair.append(np.hstack([b, c]))
-            elif obc and j == p - 1:
-                pair.append(np.vstack([b, c]))
-            else:
-                z_top = np.zeros((b.shape[0], c.shape[1]))
-                z_bot = np.zeros((c.shape[0], b.shape[1]))
-                pair.append(np.block([[b, z_top], [z_bot, c]]))
-        sites.append((scale * pair[0], scale * pair[1]))
+    for j, (b, c) in enumerate(zip(m.sites, partner)):
+        if obc and j == 0:
+            site = np.concatenate([b, c], axis=2)
+        elif obc and j == p - 1:
+            site = np.concatenate([b, c], axis=1)
+        else:
+            (_, rows, cols), (_, c_rows, c_cols) = b.shape, c.shape
+            site = np.zeros((2, rows + c_rows, cols + c_cols), dtype=np.complex128)
+            site[:, :rows, :cols] = b
+            site[:, rows:, cols:] = c
+        sites.append(scale * site)
     return sites
 
 
@@ -276,32 +274,30 @@ def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
     if r < 1 or p % r:
         raise ShapeMismatchError(f"block length {r} must divide p = {p}")
     q = p // r
+    d = max(max(site.shape[1:]) for site in m.sites)
+    # MPSState stores each of the p output sites separately
+    nbytes = 16 * p * 2 * (q * d) ** 2
+    if nbytes > MAX_DENSE_BYTES:
+        raise TooLargeError(
+            f"the site-independent chain of bond dimension {q * d} needs {nbytes} bytes, "
+            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
+        )
     x = to_vector(m)
     if np.linalg.norm(x - x[shift_perm(p, r)]) > EPS_SYM * np.linalg.norm(x):
         raise SymmetryMismatchError(
             "vector is not invariant under the cyclic bit shift (within EPS_SYM)"
         )
-    d = max(max(a.shape) for a, _ in m.sites)
     scale = q ** (-1.0 / p)
-
-    def pad(a: np.ndarray) -> np.ndarray:
-        out = np.zeros((d, d), dtype=np.complex128)
-        out[: a.shape[0], : a.shape[1]] = a
-        return out
-
-    blocks = [(pad(a0), pad(a1)) for a0, a1 in m.sites]
     period = []
     for j in range(r):
-        pair = []
-        for i in range(2):
-            big = np.zeros((q * d, q * d), dtype=np.complex128)
-            for k in range(q):
-                # only the last site of each block advances the companion
-                # index; interior sites stay block diagonal
-                kk = (k + 1) % q if j == r - 1 else k
-                big[k * d : (k + 1) * d, kk * d : (kk + 1) * d] = blocks[k * r + j][i]
-            pair.append(scale * big)
-        period.append((pair[0], pair[1]))
+        big = np.zeros((2, q * d, q * d), dtype=np.complex128)
+        for k in range(q):
+            # only the last site of each block advances the companion
+            # index; interior sites stay block diagonal
+            kk = (k + 1) % q if j == r - 1 else k
+            site = m.sites[k * r + j]
+            big[:, k * d : k * d + site.shape[1], kk * d : kk * d + site.shape[2]] = site
+        period.append(scale * big)
     return MPSState(period * q, boundary="periodic")
 
 
@@ -342,14 +338,13 @@ def reverse_construct(m: MPSState) -> tuple[MPSState, SymmetryWitness]:
         raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
     p = m.p
     dims = m.dims
+    mirrored = [dagger(site) for site in m.sites[::-1]]
     if p == 1:
         # mirror site is the site itself: averaging with its conjugate
         # transpose keeps the (real) components, witnessed by the identity
-        a0, a1 = m.sites[0]
-        site = (0.5 * (a0 + dagger(a0)), 0.5 * (a1 + dagger(a1)))
-        wit = (np.eye(site[0].shape[1], dtype=np.complex128),)
+        site = 0.5 * (m.sites[0] + mirrored[0])
+        wit = (np.eye(site.shape[2], dtype=np.complex128),)
         return MPSState([site], boundary=m.boundary), SymmetryWitness(kind="reverse", matrices=wit)
-    mirrored = [(dagger(a0), dagger(a1)) for a0, a1 in m.sites[::-1]]
     # S_j acts on bond j+1, which stacks D_{j+1} over D_{p+1-j}
     witnesses = [_swap_block(dims[j], dims[p - j]) for j in range(1, p + 1)]
     if m.boundary == "open":
@@ -385,13 +380,13 @@ class ReverseNormalForm:
         first mirrored site and Lambda into the last."""
         sig = np.diag(self.sigma.astype(np.complex128))
         lam = np.diag(self.lam.astype(np.complex128))
-        ascending = [(self.factor(j, 0), self.factor(j, 1)) for j in range(len(self.us))]
-        mirrored = [(dagger(a0), dagger(a1)) for a0, a1 in ascending[: self.p // 2][::-1]]
+        ascending = [u.reshape(2, -1, u.shape[1]) for u in self.us]
+        mirrored = [dagger(a) for a in ascending[: self.p // 2][::-1]]
         if not mirrored:  # p = 1: the interior factor carries both diagonals
-            ascending[0] = tuple(a @ sig @ lam for a in ascending[0])
+            ascending[0] = ascending[0] @ sig @ lam
         else:
-            mirrored[0] = tuple(sig @ a for a in mirrored[0])
-            mirrored[-1] = tuple(a @ lam for a in mirrored[-1])
+            mirrored[0] = sig @ mirrored[0]
+            mirrored[-1] = mirrored[-1] @ lam
         return MPSState(ascending + mirrored, boundary="periodic")
 
     def to_vector(self) -> np.ndarray:
@@ -420,8 +415,7 @@ def reverse_normal_form(x) -> ReverseNormalForm:
     us: list[np.ndarray] = []
     carry = dagger(w)  # running left factor; starts as W^H
     for j in range(m):
-        a0, a1 = state.sites[j]
-        stacked = np.vstack([carry @ a0, carry @ a1])
+        stacked = (carry @ state.sites[j]).reshape(-1, state.sites[j].shape[2])
         u, s, vh = svd(stacked, full_matrices=True)
         us.append(u)
         sig = np.zeros(stacked.shape, dtype=np.complex128)
@@ -436,8 +430,7 @@ def reverse_normal_form(x) -> ReverseNormalForm:
         sigma = sig_w.real
         us[m - 1] = us[m - 1] @ xq
     else:
-        a0, a1 = state.sites[m]
-        cores = [carry @ a @ dagger(s_m) @ dagger(carry) for a in (a0, a1)]
+        cores = [carry @ a @ dagger(s_m) @ dagger(carry) for a in state.sites[m]]
         herm = max(frob(c - dagger(c)) for c in cores)
         if herm > 1e-8 * max(max(frob(c) for c in cores), 1e-300):
             raise SymmetryMismatchError(
@@ -472,7 +465,7 @@ def bitflip_construct(m: MPSState, sign: int = 1) -> tuple[MPSState, SymmetryWit
     if np.linalg.norm(x - sign * x[::-1]) > EPS_SYM * np.linalg.norm(x):
         raise SymmetryMismatchError(f"vector does not satisfy J x = {sign:+d} x (within EPS_SYM)")
     leads = [sign] + [1] * (m.p - 1)
-    swapped = [(lead * a1, lead * a0) for lead, (a0, a1) in zip(leads, m.sites)]
+    swapped = [lead * site[::-1] for lead, site in zip(leads, m.sites)]
     witnesses = [_swap_block(d, d) for d in m.dims[:-1]]
     if m.boundary == "open":
         witnesses[0] = np.eye(1, dtype=np.complex128)
@@ -518,10 +511,7 @@ def bitflip_normal_form(m: MPSState, w: SymmetryWitness) -> tuple[MPSState, Symm
         ds.append(d)
         ss.append(s)
     inv_next = [np.linalg.inv(ss[(j + 1) % p]) for j in range(p)]
-    sites = [
-        (ss[j] @ a0 @ inv_next[j], ss[j] @ a1 @ inv_next[j])
-        for j, (a0, a1) in enumerate(m.sites)
-    ]
+    sites = [ss[j] @ site @ inv_next[j] for j, site in enumerate(m.sites)]
     out = MPSState(sites, boundary=m.boundary)
     return out, SymmetryWitness(kind="bitflip", sign=w.sign, matrices=tuple(ds))
 

@@ -252,6 +252,18 @@ def test_hy_structure():
     assert flags.skew_symmetric and flags.persymmetric
 
 
+def test_one_site_ring_self_bond_is_op_op():
+    """p = 1 periodic: the wrap-around bond (0, 0) is op @ op on the one site."""
+    params = {"jx": 0.3, "jy": -1.1, "jz": 0.7, "lam": 0.4}
+    h = assemble(model("ising_zz", 1, params, boundary="periodic"))
+    assert frob(h - (0.7 * np.eye(2) + 0.4 * pauli("x"))) < 1e-15
+    h = assemble(model("heis_xyz", 1, params, boundary="periodic"))
+    assert frob(h - ((0.3 - 1.1 + 0.7) * np.eye(2) + 0.4 * pauli("x"))) < 1e-15
+    s = [spin1(c) for c in "xyz"]
+    want = sum(a @ a for a in s) + sum((a @ b) @ (a @ b) for a in s for b in s) / 3.0
+    assert frob(assemble(model("aklt", 1, boundary="periodic")) - want) < 1e-14
+
+
 def test_aklt_bond_expansion_oracle():
     # direct dense evaluation of S.S + (S.S)^2/3 on two sites
     h = assemble(model("aklt", 2))
@@ -360,9 +372,6 @@ def test_ground_state_matches_dense_eigh(name):
                 scale = max(1.0, np.abs(want_w).max())
                 dim = len(want_w)
                 split = _split_expected(spec)
-                if p == 1 and boundary == "periodic":
-                    # the self-bond (0, 0) keeps one factor, so ZZ is Z there
-                    split = np.array_equal(h, h[::-1, ::-1]) and split
                 assert rep.sector_sizes == ((dim // 2, dim // 2) if split else (dim,))
                 assert np.max(np.abs(rep.values - want_w)) <= 1e-12 * scale
                 assert rep.ground_energy == rep.values[0]

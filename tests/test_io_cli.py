@@ -530,6 +530,24 @@ def test_cli_ham_build_too_large(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
+    # to-vector on a periodic p = 14, D = 128 chain needs a 4 GiB accumulator
+    chain = tmp_path / "wide.mps"
+    write_mps(chain, MPSState([np.ones((2, 128, 128))] * 14, boundary="periodic"))
+    assert run_cli("mps", "to-vector", str(chain), "--out", str(tmp_path / "wide.vec")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4294967296-byte accumulator" in err
+    # a full-rank shift-invariant p = 16 vector has bond 256, so its
+    # site-independent chain would take 16 * 2 * (16 * 256)^2 * 16 bytes
+    vec = tmp_path / "s16.vec"
+    write_vec(vec, symtt.symmetrize_shift(random_complex(rng, 2**16)))
+    out = tmp_path / "s16.mps"
+    assert run_cli("sym", "construct", "--kind", "bitshift", "--vec", str(vec), "--out", str(out), "--wit", str(tmp_path / "s16.wit")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "8589934592 bytes" in err and "MAX_DENSE_BYTES" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, match",
     [

@@ -3,24 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tempfile
+from pathlib import Path
+
 from symtt import (
     MPSState,
+    bitflip_construct,
+    bitflip_normal_form,
     check_gauge,
     check_vidal,
     eval_component,
+    firstsite_construct,
     from_vector,
+    fullbit_state,
+    lastsite_construct,
+    reverse_construct,
     strong_normalize,
+    symmetrize_flip,
+    symmetrize_reverse,
+    symmetrize_shift,
+    ti_construct,
     to_vector,
     truncate,
     two_site_sweep,
     vidal_from_vector,
     vidal_to_a,
 )
-from symtt.errors import GaugeViolationError, NotNormalizedError, ShapeMismatchError, ZeroVectorError
+from symtt.errors import GaugeViolationError, NotNormalizedError, ShapeMismatchError, TooLargeError, ZeroVectorError
+from symtt.fileio import read_mps, write_mps
 from symtt.linalg import dagger
 from symtt.mps import _tt_cores
 
-from conftest import brute_force_vector, random_complex, random_mps, random_unit_vector
+from conftest import brute_force_vector, random_complex, random_hermitian, random_mps, random_unit_vector
 
 
 def ghz(p):
@@ -38,6 +52,59 @@ def matricization_svals(x, j):
     """Oracle: singular values of the bit-split (i_1..i_j) x (i_{j+1}..i_p)."""
     p = int(np.log2(len(x)))
     return np.linalg.svd(x.reshape(2**j, 2 ** (p - j)), compute_uv=False)
+
+
+# ------------------------------------------------------------ site layout
+
+def _eye(rows, cols=None):
+    return np.eye(rows, cols or rows, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "sites, boundary, match",
+    [
+        ([(_eye(1, 2), _eye(2, 1))], "open", "site 1: the two matrices must share a 2-D shape"),
+        ([(np.ones(2), np.ones(2))], "open", "site 1: the two matrices must share a 2-D shape"),
+        ([(_eye(1), _eye(1), _eye(1))], "open", "site 1: the two matrices must share a 2-D shape"),
+        ([(_eye(1, 2),) * 2, (_eye(3, 1),) * 2], "open", r"bond mismatch between sites 1 and 2: \(1, 2\) -> \(3, 1\)"),
+        ([(_eye(1, 2),) * 2, (_eye(2),) * 2], "open", "open boundary requires D_1 = D_{p\\+1} = 1"),
+        ([(_eye(2, 3),) * 2, (_eye(3, 1),) * 2], "periodic", "periodic boundary requires D_1 = D_{p\\+1}"),
+        ([], "open", "an MPS needs at least one site"),
+    ],
+    ids=["ragged", "1-D", "three-matrices", "bond-mismatch", "open-ends", "periodic-ends", "no-sites"],
+)
+def test_constructor_rejects_malformed_sites(sites, boundary, match):
+    with pytest.raises(ShapeMismatchError, match=match):
+        MPSState(sites, boundary=boundary)
+
+
+def assert_site_layout(m):
+    """Every site is one C-contiguous complex128 (2, D_j, D_{j+1}) array."""
+    for j, site in enumerate(m.sites):
+        assert isinstance(site, np.ndarray) and site.dtype == np.complex128 and site.flags.c_contiguous
+        assert site.shape == (2, m.dims[j], m.dims[j + 1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_every_chain_stores_one_array_per_site(p, seed):
+    rng = np.random.default_rng(seed)
+    x = random_unit_vector(rng, 2**p)
+    m = from_vector(x)
+    chains = [m, truncate(m, d_max=2), strong_normalize(two_site_sweep(m, "left"))]
+    for chain in (m, random_mps(rng, p, 3, "periodic")):
+        chains += [two_site_sweep(chain, "left"), two_site_sweep(chain, "right")]
+    chains += [vidal_to_a(vidal_from_vector(x), side) for side in ("left", "right")]
+    chains.append(reverse_construct(from_vector(symmetrize_reverse(x)))[0])
+    flipped, witness = bitflip_construct(from_vector(symmetrize_flip(x, -1)), -1)
+    chains += [flipped, bitflip_normal_form(flipped, witness)[0]]
+    chains.append(ti_construct(from_vector(symmetrize_shift(x))))
+    chains += [firstsite_construct(x, -1), lastsite_construct(x), fullbit_state(random_hermitian(rng, 2), p)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mps(Path(tmp) / "m.mps", flipped)
+        chains.append(read_mps(Path(tmp) / "m.mps"))
+    for chain in chains:
+        assert_site_layout(chain)
 
 
 # ------------------------------------------------------------- evaluation
@@ -73,6 +140,14 @@ def test_to_vector_product_state():
     want = np.zeros(16)
     want[0] = 1
     assert np.allclose(x, want)
+
+
+def test_to_vector_guards_its_accumulator():
+    # p = 14, D = 128 periodic: folding all sites holds 2^14 128 x 128
+    # matrices, 4 GiB, although the output has only 2^14 components
+    site = np.ones((2, 128, 128), dtype=complex)
+    with pytest.raises(TooLargeError, match=r"4294967296-byte accumulator.*MAX_DENSE_BYTES"):
+        to_vector(MPSState([site] * 14, boundary="periodic"))
 
 
 def test_to_vector_matches_eval(rng):

@@ -180,6 +180,15 @@ def test_ti_construct_roundtrip_and_growth(rng):
     assert verify_relation(out, SymmetryWitness(kind="bitshift")).max_residual == 0.0
 
 
+def test_ti_construct_guards_its_output():
+    # open p = 16, bond 256: the output repeats 16 sites of bond dimension
+    # 16 * 256, 8.6 GB, so the guard must refuse before the symmetry check
+    inner = np.zeros((2, 256, 256), dtype=complex)
+    sites = [np.zeros((2, 1, 256), dtype=complex)] + [inner] * 14 + [np.zeros((2, 256, 1), dtype=complex)]
+    with pytest.raises(TooLargeError, match=r"8589934592 bytes.*MAX_DENSE_BYTES"):
+        ti_construct(MPSState(sites, boundary="open"))
+
+
 def test_ti_construct_rejects_asymmetric(rng):
     with pytest.raises(SymmetryMismatchError):
         ti_construct(from_vector(rand_vec(rng, 4)))
