@@ -76,7 +76,7 @@ def _add_model_args(sub, required: bool) -> None:
 
 def _flags_report(rep: Report, flags: structured.StructureFlags) -> None:
     for f in dataclasses.fields(flags):
-        if f.name != "omega":
+        if f.name not in ("omega", "residuals"):
             rep.add(f.name, str(getattr(flags, f.name)).lower())
     if flags.omega is not None:
         rep.add("omega", f"{flags.omega.real:.17g}{flags.omega.imag:+.17g}j")

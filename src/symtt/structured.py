@@ -4,15 +4,24 @@ Covers the split of a symmetric matrix into persymmetric and skew-persymmetric
 parts, the orthogonal half-size block-diagonalization, eigenbases classified by
 their behaviour under the exchange matrix, and circulant / omega-circulant
 spectral transforms.
+
+``classify`` decides every structure flag, and returns the residual behind
+each, in one pass over blocks of 32 rows.  Besides O(32 n) temporaries it
+allocates only a float64 copy of an n x n input whose imaginary part is
+exactly zero.  The symmetry and omega-circulant checks of the transforms use
+the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    BadParamsError,
     NotOmegaCirculantError,
     NotSymmetricError,
     NotSymPersymError,
@@ -22,7 +31,6 @@ from .errors import (
 from .linalg import (
     as_cmatrix,
     as_cvector,
-    dagger,
     eigh,
     exchange_matrix,
     fourier_matrix,
@@ -34,10 +42,19 @@ from .linalg import (
 EPS_STRUCT = 1e-10
 #: eigenvalue gap below which the two half-size blocks count as degenerate
 EPS_GAP = 1e-8
+#: rows per block of the residual pass
+_BLOCK_ROWS = 32
+#: the boolean flags of StructureFlags, each decided by one residual
+_FLAG_NAMES = ("symmetric", "skew_symmetric", "hermitian", "persymmetric", "skew_persymmetric",
+               "centrosymmetric", "toeplitz", "circulant", "skew_circulant", "diagonal")
 
 
 @dataclass(frozen=True)
 class StructureFlags:
+    """Structure flags of a square matrix; ``residuals`` maps each flag name
+    (and ``omega`` when it is set) to the Frobenius norm of the residual that
+    decided it.  Equality and hashing ignore ``residuals``."""
+
     symmetric: bool = False
     skew_symmetric: bool = False
     hermitian: bool = False
@@ -49,6 +66,7 @@ class StructureFlags:
     skew_circulant: bool = False
     diagonal: bool = False
     omega: complex | None = None
+    residuals: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def _flip2(a: np.ndarray) -> np.ndarray:
@@ -56,15 +74,34 @@ def _flip2(a: np.ndarray) -> np.ndarray:
     return a[::-1, ::-1]
 
 
+def _band(v: np.ndarray) -> np.ndarray:
+    """The n x n matrix with entries v[n - 1 + j - i], as a zero-copy view of
+    the length-(2n - 1) vector ``v``."""
+    return sliding_window_view(v, (len(v) + 1) // 2)[::-1]
+
+
+def _toeplitz_band(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return _band(np.concatenate([c[::-1], r[1:]]))
+
+
+def _omega_band(r: np.ndarray, omega) -> np.ndarray:
+    return _band(np.concatenate([omega * r[1:], r]))
+
+
 def toeplitz_from(first_row, first_col) -> np.ndarray:
+    """Toeplitz matrix with the given first row and first column.
+
+    Entry (i, j) is first_row[j - i] above the diagonal and first_col[i - j]
+    on and below it, so the diagonal is first_col[0] and first_row[0] is not
+    read.
+    """
     r = as_cvector(first_row)
     c = as_cvector(first_col)
-    n = len(r)
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        out[i, i:] = r[: n - i]
-        out[i:, i] = c[: n - i]
-    return out
+    if len(r) == 0 or len(c) != len(r):
+        raise ShapeMismatchError(
+            f"first row and column must be nonempty and of equal length, got {len(r)} and {len(c)}"
+        )
+    return _toeplitz_band(r, c).copy()
 
 
 def circulant(first_row) -> np.ndarray:
@@ -75,73 +112,107 @@ def circulant(first_row) -> np.ndarray:
 def omega_circulant(first_row, omega: complex) -> np.ndarray:
     """omega-circulant matrix: wrapped entries pick up the factor omega."""
     r = as_cvector(first_row)
-    n = len(r)
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        out[i, i:] = r[: n - i]
-        if i:
-            out[i, :i] = omega * r[n - i :]
-    return out
+    if len(r) == 0:
+        raise ShapeMismatchError("first row must be nonempty")
+    if not np.isfinite(omega):
+        raise BadParamsError(f"omega must be finite, got {omega!r}")
+    return _omega_band(r, omega).copy()
 
 
-def _estimate_omega(a: np.ndarray, r: np.ndarray, thresh: float) -> complex | None:
-    """Ratio of a wrapped entry to its first-row partner, or None."""
-    n = len(r)
-    best = None
-    best_mag = thresh
-    for k in range(1, n):
-        if abs(r[n - k]) > best_mag:
-            best_mag = abs(r[n - k])
-            best = a[k, 0] / r[n - k]
-    return best
+#: residuals on one block of rows: a of m, at of m^T and jaj of J m J
+_BLOCK_RESIDUALS = {
+    "symmetric": lambda a, at, jaj: a - at,
+    "skew_symmetric": lambda a, at, jaj: a + at,
+    "hermitian": lambda a, at, jaj: a - at.conj(),
+    "persymmetric": lambda a, at, jaj: jaj - at,
+    "skew_persymmetric": lambda a, at, jaj: jaj + at,
+    "centrosymmetric": lambda a, at, jaj: jaj - a,
+}
+
+
+def _residual_norms(m: np.ndarray, names, omega=None) -> dict[str, float]:
+    """Frobenius norm of each named structure residual of the square ``m``.
+
+    The names are those of ``_FLAG_NAMES`` and ``"omega"`` (m minus the
+    omega-circulant of its first row).  One pass over blocks of
+    ``_BLOCK_ROWS`` rows adds up every squared residual; its only gather is a
+    contiguous copy of the block's columns, and the flipped, Toeplitz and
+    circulant rows are views.  Extra memory is O(_BLOCK_ROWS * n), plus one
+    float64 copy of ``m`` when its imaginary part is exactly zero.
+    """
+    if np.iscomplexobj(m) and not m.imag.any():
+        m = m.real.copy()
+    n, r = m.shape[0], m[0]
+    bands = {
+        "toeplitz": _toeplitz_band(r, m[:, 0]),
+        "circulant": _omega_band(r, 1.0),
+        "skew_circulant": _omega_band(r, -1.0),
+    }
+    if omega is not None:
+        bands["omega"] = _omega_band(r, omega)
+    mjj = _flip2(m)
+    sums = dict.fromkeys(names, 0.0)
+    for i in range(0, n, _BLOCK_ROWS):
+        blk = slice(i, i + _BLOCK_ROWS)
+        a, jaj = m[blk], mjj[blk]
+        at = m[:, blk].T.copy()  # the block's rows of m^T
+        for name in names:
+            if name in bands:
+                res = a - bands[name][blk]
+            elif name == "diagonal":
+                res = a.copy()
+                np.fill_diagonal(res[:, i:], 0)
+            else:
+                res = _BLOCK_RESIDUALS[name](a, at, jaj)
+            sums[name] += np.vdot(res, res).real
+    return {name: math.sqrt(s) for name, s in sums.items()}
+
+
+def _estimate_omega(a: np.ndarray, thresh: float) -> complex | None:
+    """Ratio a[k, 0] / a[0, n - k] of a wrapped entry to its first-row
+    partner, at the first k with the largest |a[0, n - k]| above ``thresh``;
+    None if there is no such k."""
+    wrapped = a[0, :0:-1]  # a[0, n - k] for k = 1 .. n - 1
+    if len(wrapped) == 0:
+        return None
+    # np.hypot rounds like the scalar abs; np.abs(complex) may differ in the
+    # last bit and so break ties between equal magnitudes differently
+    mags = np.hypot(wrapped.real, wrapped.imag)
+    k = int(np.argmax(mags)) + 1
+    if mags[k - 1] <= thresh:
+        return None
+    return a[k, 0] / wrapped[k - 1]
 
 
 def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
     """Decide every structure flag of ``a`` against ``tol`` (relative).
 
-    Non-square input yields all-false flags rather than an error.
+    A flag holds when the Frobenius norm of its residual is at most
+    ``tol * ||a||_F``; all residuals come from one pass over the rows (see
+    ``_residual_norms``).  Non-square input yields all-false flags rather
+    than an error.
     """
     require_tol(tol)
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         return StructureFlags()
-    n = m.shape[0]
-    scale = frob(m)
-    thresh = tol * scale
-
-    def ok(res: np.ndarray) -> bool:
-        return frob(res) <= thresh
-
-    mt = m.T
-    mjj = _flip2(m)
-    r = m[0, :]
-    flags = {
-        "symmetric": ok(m - mt),
-        "skew_symmetric": ok(m + mt),
-        "hermitian": ok(m - dagger(m)),
-        "persymmetric": ok(mjj - mt),
-        "skew_persymmetric": ok(mjj + mt),
-        "centrosymmetric": ok(mjj - m),
-        "toeplitz": ok(m - toeplitz_from(r, m[:, 0])),
-        "circulant": ok(m - circulant(r)),
-        "skew_circulant": ok(m - omega_circulant(r, -1.0)),
-        "diagonal": ok(m - np.diag(np.diag(m))),
-    }
+    thresh = tol * frob(m)
+    cand = _estimate_omega(m, thresh)
+    if cand is not None and abs(abs(cand) - 1.0) > max(tol, 1e-8):
+        cand = None
+    res = _residual_norms(m, _FLAG_NAMES if cand is None else (*_FLAG_NAMES, "omega"), cand)
+    flags = {name: res[name] <= thresh for name in _FLAG_NAMES}
 
     omega: complex | None = None
     if flags["circulant"]:
-        omega = 1.0 + 0.0j
+        omega, res["omega"] = 1.0 + 0.0j, res["circulant"]
     elif flags["skew_circulant"]:
-        omega = -1.0 + 0.0j
-    elif n > 1:
-        cand = _estimate_omega(m, r, thresh)
-        if (
-            cand is not None
-            and abs(abs(cand) - 1.0) <= max(tol, 1e-8)
-            and ok(m - omega_circulant(r, cand))
-        ):
-            omega = complex(cand)
-    return StructureFlags(omega=omega, **flags)
+        omega, res["omega"] = -1.0 + 0.0j, res["skew_circulant"]
+    elif cand is not None and res["omega"] <= thresh:
+        omega = complex(cand)
+    else:
+        res.pop("omega", None)
+    return StructureFlags(omega=omega, residuals=res, **flags)
 
 
 def persym_split(a) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +223,8 @@ def persym_split(a) -> tuple[np.ndarray, np.ndarray]:
     (exact whenever the entry averages are representable).
     """
     m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1] or frob(m - m.T) > EPS_STRUCT * frob(m):
+    square = m.shape[0] == m.shape[1]
+    if not square or _residual_norms(m, ("symmetric",))["symmetric"] > EPS_STRUCT * frob(m):
         raise NotSymmetricError("persym_split requires a symmetric square matrix")
     p = 0.5 * (m + _flip2(m))
     s = m - p
@@ -164,7 +236,7 @@ def _require_sym_persym(m: np.ndarray, real: bool = False) -> int:
     if m.shape[0] != m.shape[1]:
         raise NotSymPersymError(f"expected a square matrix, got shape {m.shape}")
     thresh = EPS_STRUCT * frob(m)
-    if frob(m - m.T) > thresh or frob(_flip2(m) - m) > thresh:
+    if max(_residual_norms(m, ("symmetric", "centrosymmetric")).values()) > thresh:
         raise NotSymPersymError("matrix is not symmetric persymmetric")
     if real and frob(m.imag) > thresh:
         raise NotSymPersymError("matrix is not real")
@@ -276,9 +348,9 @@ def omega_to_circulant(c, omega: complex) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise NotOmegaCirculantError(f"expected a square matrix, got shape {m.shape}")
-    if abs(abs(omega) - 1.0) > 1e-8:
+    if not abs(abs(omega) - 1.0) <= 1e-8:
         raise NotOmegaCirculantError(f"omega must have unit modulus, got |omega|={abs(omega):g}")
-    if frob(m - omega_circulant(m[0, :], omega)) > EPS_STRUCT * frob(m):
+    if _residual_norms(m, ("omega",), omega)["omega"] > EPS_STRUCT * frob(m):
         raise NotOmegaCirculantError("matrix does not match the omega-circulant pattern")
     root = np.exp(1j * np.angle(omega) / n)
     phases = root ** np.arange(n)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from symtt import MPSState
-from symtt.linalg import kron_chain
+from symtt.linalg import as_cmatrix, as_cvector, dagger, frob, kron_chain, require_tol
+from symtt.structured import EPS_STRUCT, StructureFlags
 
 
 @pytest.fixture
@@ -90,3 +91,74 @@ def group_orbit_count(p, kinds):
                     nxt.append(h)
         frontier = nxt
     return len(np.unique(np.stack(list(seen.values())).min(axis=0)))
+
+
+def loop_toeplitz(first_row, first_col):
+    """Reference builder: one row and one column per step, so the diagonal
+    ends up holding first_col[0]."""
+    r, c = as_cvector(first_row), as_cvector(first_col)
+    n = len(r)
+    out = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        out[i, i:] = r[: n - i]
+        out[i:, i] = c[: n - i]
+    return out
+
+
+def loop_omega_circulant(first_row, omega):
+    """Reference builder: row i is the first row shifted right by i, with the
+    i wrapped entries multiplied by omega."""
+    r = as_cvector(first_row)
+    n = len(r)
+    out = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        out[i, i:] = r[: n - i]
+        if i:
+            out[i, :i] = omega * r[n - i :]
+    return out
+
+
+def dense_classify(a, tol=EPS_STRUCT):
+    """Oracle for ``classify``: every residual a dense n x n matrix, the
+    omega candidate from a loop over the wrapped entries."""
+    require_tol(tol)
+    m = as_cmatrix(a)
+    if m.shape[0] != m.shape[1]:
+        return StructureFlags()
+    n = m.shape[0]
+    thresh = tol * frob(m)
+
+    def ok(res):
+        return frob(res) <= thresh
+
+    mt, mjj, r = m.T, m[::-1, ::-1], m[0, :]
+    flags = {
+        "symmetric": ok(m - mt),
+        "skew_symmetric": ok(m + mt),
+        "hermitian": ok(m - dagger(m)),
+        "persymmetric": ok(mjj - mt),
+        "skew_persymmetric": ok(mjj + mt),
+        "centrosymmetric": ok(mjj - m),
+        "toeplitz": ok(m - loop_toeplitz(r, m[:, 0])),
+        "circulant": ok(m - loop_omega_circulant(r, 1.0)),
+        "skew_circulant": ok(m - loop_omega_circulant(r, -1.0)),
+        "diagonal": ok(m - np.diag(np.diag(m))),
+    }
+    omega = None
+    if flags["circulant"]:
+        omega = 1.0 + 0.0j
+    elif flags["skew_circulant"]:
+        omega = -1.0 + 0.0j
+    else:
+        cand, best_mag = None, thresh
+        for k in range(1, n):
+            if abs(r[n - k]) > best_mag:
+                best_mag = abs(r[n - k])
+                cand = m[k, 0] / r[n - k]
+        if (
+            cand is not None
+            and abs(abs(cand) - 1.0) <= max(tol, 1e-8)
+            and ok(m - loop_omega_circulant(r, cand))
+        ):
+            omega = complex(cand)
+    return StructureFlags(omega=omega, **flags)

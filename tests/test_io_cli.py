@@ -298,6 +298,7 @@ def test_cli_json_mode(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["diagonal"] == "true"
     assert payload["persymmetric"] == "true"
+    assert "residuals" not in payload
 
 
 def test_cli_domain_error_exit_code(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtt import (
     block_diagonalize,
@@ -12,12 +16,26 @@ from symtt import (
     omega_to_circulant,
     persym_split,
 )
-from symtt.errors import NotOmegaCirculantError, NotSymmetricError, NotSymPersymError, OddSizeError
+from symtt.errors import (
+    BadParamsError,
+    NotOmegaCirculantError,
+    NotSymmetricError,
+    NotSymPersymError,
+    OddSizeError,
+    ShapeMismatchError,
+)
 from symtt.hamiltonian import assemble, model, pauli
 from symtt.linalg import frob
-from symtt.structured import circulant, omega_circulant
+from symtt.structured import StructureFlags, circulant, omega_circulant, toeplitz_from
 
-from conftest import random_sym_persym, random_sym_skew_persym
+from conftest import (
+    dense_classify,
+    loop_omega_circulant,
+    loop_toeplitz,
+    random_complex,
+    random_sym_persym,
+    random_sym_skew_persym,
+)
 
 
 def test_classify_pauli_x():
@@ -55,6 +73,123 @@ def test_classify_omega_circulant(rng):
 def test_classify_non_square_is_all_false():
     flags = classify(np.ones((2, 3)))
     assert not any([flags.symmetric, flags.persymmetric, flags.toeplitz, flags.diagonal])
+
+
+KINDS = ("general", "symmetric", "hermitian", "persymmetric", "skew_persymmetric", "toeplitz",
+         "circulant", "skew_circulant", "omega_circulant", "diagonal")
+
+
+def structured_matrix(kind, n, is_complex, rng):
+    """A random n x n matrix with the named structure (complex entries when
+    asked, and always for an omega-circulant)."""
+    def draw(*shape):
+        return random_complex(rng, *shape) if is_complex else rng.standard_normal(shape)
+
+    a = draw(n, n)
+    return {
+        "general": lambda: a,
+        "symmetric": lambda: a + a.T,
+        "hermitian": lambda: a + a.conj().T,
+        "persymmetric": lambda: a + a[::-1, ::-1].T,
+        "skew_persymmetric": lambda: a - a[::-1, ::-1].T,
+        "toeplitz": lambda: loop_toeplitz(draw(n), draw(n)),
+        "circulant": lambda: loop_omega_circulant(draw(n), 1.0),
+        "skew_circulant": lambda: loop_omega_circulant(draw(n), -1.0),
+        "omega_circulant": lambda: loop_omega_circulant(draw(n), np.exp(1j * rng.uniform(0, 2 * np.pi))),
+        "diagonal": lambda: np.diag(draw(n)),
+    }[kind]()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 80), st.booleans(), st.sampled_from([0.0, 1e-13, 1e-8]),
+       st.integers(0, 2**32 - 1))
+def test_classify_matches_dense_oracle(kind, n, is_complex, eps, seed):
+    # n runs past two block boundaries of the residual pass (32 rows each)
+    rng = np.random.default_rng(seed)
+    a = structured_matrix(kind, n, is_complex, rng)
+    if eps:
+        a = a + eps * (random_complex(rng, n, n) if is_complex else rng.standard_normal((n, n)))
+    flags, want = classify(a), dense_classify(a)
+    assert flags == want
+    assert flags.omega == want.omega
+
+
+def test_classify_residuals_are_the_dense_norms(rng):
+    omega = np.exp(0.77j)
+    a = omega_circulant(random_complex(rng, 40), omega) + 1e-9 * random_complex(rng, 40, 40)
+    flags = classify(a, tol=1e-8)
+    j = np.fliplr(np.eye(40))
+    dense = {
+        "symmetric": a - a.T,
+        "skew_symmetric": a + a.T,
+        "hermitian": a - a.conj().T,
+        "persymmetric": j @ a @ j - a.T,
+        "skew_persymmetric": j @ a @ j + a.T,
+        "centrosymmetric": j @ a @ j - a,
+        "toeplitz": a - loop_toeplitz(a[0], a[:, 0]),
+        "circulant": a - loop_omega_circulant(a[0], 1.0),
+        "skew_circulant": a - loop_omega_circulant(a[0], -1.0),
+        "diagonal": a - np.diag(np.diag(a)),
+        "omega": a - loop_omega_circulant(a[0], flags.omega),
+    }
+    assert flags.omega is not None and not flags.circulant
+    assert flags.residuals.keys() == dense.keys()
+    for name, res in dense.items():
+        assert abs(flags.residuals[name] - frob(res)) <= 1e-12 * frob(a), name
+    # residuals are reported, not compared
+    assert flags == StructureFlags(**{f: getattr(flags, f) for f in dense if f != "omega"}, omega=flags.omega)
+    assert hash(flags) == hash(dense_classify(a, tol=1e-8))
+    assert "omega" not in classify(rng.standard_normal((5, 5))).residuals
+    assert classify(pauli("x")).residuals["omega"] == classify(pauli("x")).residuals["circulant"]
+
+
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_classify_peak_memory_below_one_complex_copy(rng, is_complex):
+    n = 1024
+    a = omega_circulant(random_complex(rng, n), np.exp(0.3j))
+    if not is_complex:
+        a = a.real.astype(np.complex128)
+    tracemalloc.start()
+    try:
+        classify(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 70])
+def test_builders_bit_identical_to_loops(rng, n):
+    r, c = random_complex(rng, n), random_complex(rng, n)
+    r[1::3] = -0.0
+    c[::2] = complex(-0.0, 1.5)
+
+    def same(x, y):
+        return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+    assert same(toeplitz_from(r, c), loop_toeplitz(r, c))
+    assert same(circulant(r), loop_omega_circulant(r, 1.0))
+    for omega in (1.0, -1.0, np.exp(0.77j), 0.3 - 2j):
+        assert same(omega_circulant(r, omega), loop_omega_circulant(r, omega))
+
+
+def test_toeplitz_diagonal_is_first_col_entry():
+    assert np.array_equal(toeplitz_from([1, 2, 3], [9, 4, 5]), [[9, 2, 3], [4, 9, 2], [5, 4, 9]])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: toeplitz_from([1, 2, 3], [9, 4]), ShapeMismatchError),
+    (lambda: toeplitz_from([1, 2, 3], [9, 4, 5, 6, 7]), ShapeMismatchError),
+    (lambda: toeplitz_from([], []), ShapeMismatchError),
+    (lambda: omega_circulant([], 1), ShapeMismatchError),
+    (lambda: circulant([]), ShapeMismatchError),
+    (lambda: omega_circulant([1, 2], np.nan), BadParamsError),
+    (lambda: omega_circulant([1, 2], complex(0, np.inf)), BadParamsError),
+    (lambda: omega_to_circulant(pauli("y"), np.nan), NotOmegaCirculantError),
+])
+def test_builders_reject_bad_input(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_persym_split_example():
