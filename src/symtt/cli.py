@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import fileio, hamiltonian, mps, structured, symmetry
-from .errors import SymttError
+from .errors import ShapeMismatchError, SymttError
 from .linalg import frob
 from .symmetry import SymmetryWitness
 
@@ -293,7 +293,9 @@ def _run_struct(args, rep: Report) -> None:
             fileio.write_mat(args.out_q, pair.q)
             rep.add("written_q", args.out_q)
     elif args.verb == "circulant-eig":
-        row = fileio.read_mat(args.mat).reshape(-1)
+        row = fileio.read_mat(args.mat)
+        if min(row.shape) != 1:
+            raise ShapeMismatchError(f"circulant-eig needs a 1 x n or n x 1 first row, got shape {row.shape}")
         values = structured.circulant_eigenvalues(row)
         for k, z in enumerate(values):
             rep.add(f"ev_{k}", f"{z.real:.17g}{z.imag:+.17g}j")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
 from .linalg import EPS_LIN, MAX_DENSE_BYTES, _fix_phases, as_cmatrix, eigh, fourier_matrix, frob, kron_chain
-from .structured import EPS_STRUCT, StructureFlags, _half_blocks, classify
+from .structured import EPS_STRUCT, StructureFlags, _half_blocks, _lift, classify
 
 #: full-eigendecomposition guard for ground states
 MAX_EIG_DIM = 1024
@@ -299,6 +299,8 @@ def closed_form_hx_spectrum(p: int, r=None) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if len(r) != p:
         raise ShapeMismatchError(f"need {p} site weights, got {len(r)}")
+    if not np.all(np.isfinite(r)):
+        raise BadParamsError("site weights r must be finite (no NaN/Inf)")
     sums = np.zeros(1)
     for rk in r:
         sums = np.concatenate([sums - rk, sums + rk])
@@ -317,6 +319,8 @@ def anisotropic_xy_transform(a, b) -> tuple[list[np.ndarray], np.ndarray]:
     bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape or av.ndim != 1:
         raise ShapeMismatchError("site weight lists a and b must be 1-D of equal length")
+    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
+        raise BadParamsError("site weights a and b must be finite (no NaN/Inf)")
     r = np.hypot(av, bv)
     if np.any(r == 0.0):
         raise ZeroSiteError("every site needs (a_k, b_k) != (0, 0)")
@@ -356,12 +360,13 @@ def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray |
     """All eigenvalues of an assembled Hamiltonian h, ascending, its lowest
     eigenvector (None unless ``lowest``) and the orders of the blocks solved.
 
-    An exactly real symmetric h of even order with h == J h J is taken by the
-    orthogonal q of ``structured.block_diagonalize`` to diag(B + JC, B - JC).
-    The two blocks are solved on their own, in real arithmetic, their values
-    merged, and only the lowest eigenvector u is lifted back: to
-    (u; Ju)/sqrt(2) from B + JC, to (u; -Ju)/sqrt(2) from B - JC.  Any other
-    h is solved whole.  Without ``lowest`` no eigenvectors are computed.
+    An exactly real symmetric h of even order with h == J h J splits into
+    the blocks B + JC and B - JC (``structured._half_blocks``).  The two
+    blocks are solved on their own, in real arithmetic, their values merged,
+    and only the lowest eigenvector u is lifted back by ``structured._lift``:
+    to (u; Ju)/sqrt(2) from B + JC, to (u; -Ju)/sqrt(2) from B - JC.  Any
+    other h is solved whole, and its lowest vector is returned as ``eigh``
+    gave it.  Without ``lowest`` no eigenvectors are computed.
     """
     n = h.shape[0]
     split = n % 2 == 0 and not h.imag.any() and np.array_equal(h, h.T) and np.array_equal(h, h[::-1, ::-1])
@@ -375,7 +380,7 @@ def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray |
     plus, minus = (eigh(b) for b in blocks)
     sign = 1.0 if plus.values[0] <= minus.values[0] else -1.0
     u = (plus if sign > 0 else minus).vectors[:, 0]
-    vec = np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
+    vec = _lift(u, sign)
     _fix_phases(vec[:, None], None)
     return np.sort(np.concatenate([plus.values, minus.values])), vec, sizes
 

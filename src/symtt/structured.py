@@ -5,6 +5,11 @@ parts, the orthogonal half-size block-diagonalization, eigenbases classified by
 their behaviour under the exchange matrix, and circulant / omega-circulant
 spectral transforms.
 
+J, q = [[I, J], [I, -J]] / sqrt(2) and the Fourier matrix are applied, never
+built: J A J is the index reversal ``_flip2``, ``_half_blocks`` gives the
+blocks B + JC and B - JC, ``_lift`` takes their eigenvectors back to full
+order, ``BlockPair.q`` is built when read, and circulant spectra are an FFT.
+
 ``classify`` decides every structure flag, and returns the residual behind
 each, in one pass over blocks of 32 rows.  Besides O(32 n) temporaries it
 allocates only a float64 copy of an n x n input whose imaginary part is
@@ -32,8 +37,6 @@ from .linalg import (
     as_cmatrix,
     as_cvector,
     eigh,
-    exchange_matrix,
-    fourier_matrix,
     frob,
     require_tol,
 )
@@ -231,7 +234,8 @@ def persym_split(a) -> tuple[np.ndarray, np.ndarray]:
     return p, s
 
 
-def _require_sym_persym(m: np.ndarray, real: bool = False) -> int:
+def _require_sym_persym(m: np.ndarray, caller: str, real: bool = False) -> int:
+    """Half the order of a symmetric persymmetric (and ``real``) even-order m."""
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise NotSymPersymError(f"expected a square matrix, got shape {m.shape}")
@@ -240,7 +244,9 @@ def _require_sym_persym(m: np.ndarray, real: bool = False) -> int:
         raise NotSymPersymError("matrix is not symmetric persymmetric")
     if real and frob(m.imag) > thresh:
         raise NotSymPersymError("matrix is not real")
-    return n
+    if n % 2:
+        raise OddSizeError(f"{caller} requires even size, got {n}")
+    return n // 2
 
 
 def corner_blocks(a) -> tuple[np.ndarray, np.ndarray]:
@@ -250,10 +256,7 @@ def corner_blocks(a) -> tuple[np.ndarray, np.ndarray]:
     is c^T and the bottom-right block is J b J.
     """
     m = as_cmatrix(a)
-    n = _require_sym_persym(m)
-    if n % 2:
-        raise OddSizeError(f"corner_blocks requires even size, got {n}")
-    h = n // 2
+    h = _require_sym_persym(m, "corner_blocks")
     return m[:h, :h].copy(), m[h:, :h].copy()
 
 
@@ -261,7 +264,13 @@ def corner_blocks(a) -> tuple[np.ndarray, np.ndarray]:
 class BlockPair:
     b_plus: np.ndarray
     b_minus: np.ndarray
-    q: np.ndarray
+
+    @property
+    def q(self) -> np.ndarray:
+        """The orthogonal q = [[I, J], [I, -J]] / sqrt(2), built on access."""
+        eye = np.eye(len(self.b_plus), dtype=np.complex128)
+        j = eye[::-1]
+        return np.block([[eye, j], [eye, -j]]) / np.sqrt(2.0)
 
 
 def block_diagonalize(a) -> BlockPair:
@@ -272,15 +281,8 @@ def block_diagonalize(a) -> BlockPair:
     q = [[I, J], [I, -J]] / sqrt(2).
     """
     m = as_cmatrix(a)
-    n = _require_sym_persym(m, real=True)
-    if n % 2:
-        raise OddSizeError(f"block_diagonalize requires even size, got {n}")
-    h = n // 2
-    eye = np.eye(h, dtype=np.complex128)
-    j = exchange_matrix(h)
-    q = np.block([[eye, j], [eye, -j]]) / np.sqrt(2.0)
-    b_plus, b_minus = _half_blocks(m)
-    return BlockPair(b_plus=b_plus, b_minus=b_minus, q=q)
+    _require_sym_persym(m, "block_diagonalize", real=True)
+    return BlockPair(*_half_blocks(m))
 
 
 def _half_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,6 +291,12 @@ def _half_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = m.shape[0] // 2
     b, jc = m[:h, :h], m[h:, :h][::-1]  # jc = J @ C
     return b + jc, b - jc
+
+
+def _lift(u: np.ndarray, sign: float) -> np.ndarray:
+    """(u; sign * J u) / sqrt(2) for a vector u or each column of u: B + JC
+    (sign 1) or B - JC (sign -1) eigenvectors as ones of the whole matrix."""
+    return np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -307,34 +315,22 @@ def classified_eigenbasis(a) -> ClassifiedEigenbasis:
     closer than ``EPS_GAP`` the classification is not reliable and
     ``degenerate_flag`` is set.
     """
-    pair = block_diagonalize(a)
-    ep = eigh(pair.b_plus)
-    em = eigh(pair.b_minus)
-    s2 = np.sqrt(2.0)
-    sym = tuple(
-        (float(w), np.concatenate([v, v[::-1]]) / s2)
-        for w, v in zip(ep.values, ep.vectors.T)
-    )
-    skew = tuple(
-        (float(w), np.concatenate([u, -u[::-1]]) / s2)
-        for w, u in zip(em.values, em.vectors.T)
-    )
-    degenerate = bool(
-        len(ep.values) > 0
-        and len(em.values) > 0
-        and np.min(np.abs(ep.values[:, None] - em.values[None, :])) < EPS_GAP
-    )
+    m = as_cmatrix(a)
+    _require_sym_persym(m, "classified_eigenbasis", real=True)
+    ep, em = (eigh(b) for b in _half_blocks(m))
+    sym = tuple(zip(ep.values.tolist(), _lift(ep.vectors, 1.0).T))
+    skew = tuple(zip(em.values.tolist(), _lift(em.vectors, -1.0).T))
+    degenerate = bool(np.min(np.abs(ep.values[:, None] - em.values[None, :])) < EPS_GAP)
     return ClassifiedEigenbasis(sym_pairs=sym, skew_pairs=skew, degenerate_flag=degenerate)
 
 
 def circulant_eigenvalues(first_row) -> np.ndarray:
     """Spectrum of the circulant matrix with the given first row:
-    sqrt(n) * (F_n @ r)."""
+    sqrt(n) * (F_n @ r) = n * ifft(r), with F_n the unitary Fourier matrix."""
     r = as_cvector(first_row)
     if len(r) == 0:
         raise ShapeMismatchError("first row must be nonempty")
-    n = len(r)
-    return np.sqrt(n) * (fourier_matrix(n) @ r)
+    return len(r) * np.fft.ifft(r)
 
 
 def omega_to_circulant(c, omega: complex) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .linalg import MAX_DENSE_BYTES, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
+from .structured import _flip2
 
 #: default relative tolerance for symmetry detection and verification
 EPS_SYM = 1e-10
@@ -399,7 +400,7 @@ def reverse_normal_form(x) -> ReverseNormalForm:
     Starts from the swap-certified doubled representation, absorbs the
     ascending half of the chain into stacked SVD factors (the descending half
     is their conjugate mirror image), diagonalizes the Hermitian interior
-    into Sigma, and takes Lambda from the bond-1 witness spectrum.
+    into Sigma.  Lambda, the spectrum of the bond-1 witness, is [1].
     """
     v = as_cvector(x)
     p = _check_pow2(v)
@@ -408,12 +409,11 @@ def reverse_normal_form(x) -> ReverseNormalForm:
     m = p // 2
     odd = bool(p % 2)
 
-    s_p = s_list[p - 1]
-    lam_w, w = eigh(np.linalg.inv(dagger(s_p)))
-    lam = lam_w.real
-
+    # from_vector gives an open chain, whose S_p reverse_construct sets to
+    # the 1 x 1 identity; so eigh(inv(S_p^H)) is always Lambda = [1], W = [[1]]
+    lam = np.ones(1)
     us: list[np.ndarray] = []
-    carry = dagger(w)  # running left factor; starts as W^H
+    carry = dagger(np.ones((1, 1), dtype=np.complex128))  # running left factor; starts as W^H
     for j in range(m):
         stacked = (carry @ state.sites[j]).reshape(-1, state.sites[j].shape[2])
         u, s, vh = svd(stacked, full_matrices=True)
@@ -422,7 +422,7 @@ def reverse_normal_form(x) -> ReverseNormalForm:
         np.fill_diagonal(sig, s)
         carry = sig @ vh
 
-    s_m = s_list[m - 1] if m >= 1 else s_list[p - 1]
+    s_m = s_list[m - 1]  # S_m, or S_p = S_1 when p = 1
     if not odd:
         core = carry @ dagger(s_m) @ dagger(carry)
         core = 0.5 * (core + dagger(core))
@@ -520,15 +520,14 @@ def bitflip_normal_form(m: MPSState, w: SymmetryWitness) -> tuple[MPSState, Symm
 
 def fullbit_state(a, p: int) -> MPSState:
     """Site-independent periodic state with the pair (A, J A J), A Hermitian."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise BadParamsError(f"site count p must be an int >= 1, got {p!r}")
     m = as_cmatrix(a)
-    n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("need a square matrix")
     if frob(m - dagger(m)) > 1e-12 * max(frob(m), 1e-300):
         raise NotHermitianError("fullbit states require a Hermitian matrix")
-    j = exchange_matrix(n)
-    pair = (m, j @ m @ j)
-    return MPSState([pair] * p, boundary="periodic")
+    return MPSState([(m, _flip2(m))] * p, boundary="periodic")
 
 
 def fullbit_normal_form(a) -> tuple[np.ndarray, np.ndarray]:
@@ -537,9 +536,8 @@ def fullbit_normal_form(a) -> tuple[np.ndarray, np.ndarray]:
     The periodic vector of the repeated pair is unchanged for every p."""
     m = as_cmatrix(a)
     w, v = eigh(m)
-    j = exchange_matrix(m.shape[0])
     lam = np.diag(w.astype(np.complex128))
-    b = dagger(v) @ (j @ m @ j) @ v
+    b = dagger(v) @ _flip2(m) @ v
     return lam, b
 
 
@@ -649,12 +647,11 @@ def verify_relation(m: MPSState, w: SymmetryWitness) -> RelationReport:
             res.append(frob(a1 - lead * (u[j] @ a0 @ u_next)))
     elif kind == "fullbit":
         a0, a1 = m.sites[0]
-        j_ex = exchange_matrix(a0.shape[0])
         for k in range(p):
             b0, b1 = m.sites[k]
             if b0.shape != a0.shape:
                 raise ShapeMismatchError("fullbit states must be site-independent")
-            res.append(max(frob(b0 - a0), frob(b1 - a1), frob(b1 - j_ex @ b0 @ j_ex)))
+            res.append(max(frob(b0 - a0), frob(b1 - a1), frob(b1 - _flip2(b0))))
         cons.append(frob(a0 - dagger(a0)))
     elif kind == "firstsite":
         a0, a1 = m.sites[0]

@@ -174,6 +174,17 @@ def test_closed_form_spectrum_examples():
     assert np.array_equal(closed_form_hx_spectrum(1, [5.0]), [-5, 5])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: closed_form_hx_spectrum(2, [np.nan, 1.0]),
+    lambda: closed_form_hx_spectrum(1, [np.inf]),
+    lambda: anisotropic_xy_transform([np.nan], [1.0]),
+    lambda: anisotropic_xy_transform([1.0, 2.0], [0.5, -np.inf]),
+])
+def test_site_weights_must_be_finite(build):
+    with pytest.raises(BadParamsError, match="must be finite"):
+        build()
+
+
 def test_closed_form_matches_dense_eigh():
     r = [0.3, 1.1, 2.0]
     terms = []

@@ -570,6 +570,7 @@ def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
         (("ham", "certify", "--model", "hx", "--p", "2", "--tol", "inf"), "tol .* got inf"),
         (("sym", "detect", "{dir}/ghz.vec", "--tol", "nan"), "tol .* got nan"),
         (("sym", "detect", "{dir}/ghz.vec", "--tol", "-1"), "tol .* got -1"),
+        (("struct", "circulant-eig", "{dir}/eye.mat"), "1 x n or n x 1 first row, got shape \\(2, 2\\)"),
     ],
 )
 def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):

@@ -25,7 +25,7 @@ from symtt.errors import (
     ShapeMismatchError,
 )
 from symtt.hamiltonian import assemble, model, pauli
-from symtt.linalg import frob
+from symtt.linalg import exchange_matrix, fourier_matrix, frob
 from symtt.structured import StructureFlags, circulant, omega_circulant, toeplitz_from
 
 from conftest import (
@@ -316,6 +316,49 @@ def test_classified_eigenbasis_degenerate_flag():
     assert basis.degenerate_flag
 
 
+def test_classified_eigenbasis_odd_order_names_the_function():
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 2.0], [3.0, 2.0, 1.0]])
+    with pytest.raises(OddSizeError, match="classified_eigenbasis requires even size, got 3"):
+        classified_eigenbasis(a)
+
+
+@pytest.mark.parametrize("n", range(2, 65, 2))
+def test_block_pair_q_bytes_match_dense_formula(rng, n):
+    h = n // 2
+    eye = np.eye(h, dtype=np.complex128)
+    j = exchange_matrix(h)
+    want = np.block([[eye, j], [eye, -j]]) / np.sqrt(2.0)
+    assert block_diagonalize(random_sym_persym(rng, n)).q.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 32, 64])
+def test_classified_eigenbasis_bit_identical_to_per_column_lift(rng, n):
+    a = random_sym_persym(rng, n)
+    pair = block_diagonalize(a)
+    ep, em = eigh(pair.b_plus), eigh(pair.b_minus)
+    s2 = np.sqrt(2.0)
+    want_sym = [(float(w), np.concatenate([v, v[::-1]]) / s2) for w, v in zip(ep.values, ep.vectors.T)]
+    want_skew = [(float(w), np.concatenate([u, -u[::-1]]) / s2) for w, u in zip(em.values, em.vectors.T)]
+    basis = classified_eigenbasis(a)
+    for got, want in ((basis.sym_pairs, want_sym), (basis.skew_pairs, want_skew)):
+        assert len(got) == len(want)
+        for (w_got, v_got), (w_want, v_want) in zip(got, want):
+            assert w_got == w_want
+            assert np.ascontiguousarray(v_got).tobytes() == v_want.tobytes()
+
+
+def test_block_diagonalize_peak_memory_below_two_complex_copies(rng):
+    n = 1024
+    a = random_sym_persym(rng, n)
+    tracemalloc.start()
+    try:
+        block_diagonalize(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * n * n
+
+
 def test_circulant_eigenvalues():
     assert np.allclose(circulant_eigenvalues([0, 1]), [1, -1])
     assert np.allclose(circulant_eigenvalues([2.5, 0, 0]), [2.5, 2.5, 2.5])
@@ -334,6 +377,19 @@ def test_circulant_eigenvalues_match_dense(rng):
     got = np.sort(circulant_eigenvalues(r_sym).real)
     want = eigh(c).values
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [*range(1, 66), 97, 127, 128, 255, 256, 257, 500, 511, 512, 1000, 1023, 1024, 1999, 2047, 2048])
+def test_circulant_eigenvalues_match_fourier_matrix(rng, n):
+    r = random_complex(rng, n)
+    want = np.sqrt(n) * (fourier_matrix(n) @ r)
+    got = circulant_eigenvalues(r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the dense phases 2 pi jk / n lose digits as jk grows; reduced mod n they
+    # stay exact to rounding, and the FFT agrees with them far more closely
+    j = np.arange(n)
+    exact = np.exp(2j * np.pi * (np.outer(j, j) % n) / n) @ r
+    assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_omega_to_circulant_pauli_y():

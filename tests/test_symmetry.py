@@ -10,6 +10,7 @@ from symtt import (
     bitflip_normal_form,
     detect_vector_symmetries,
     dof_count,
+    eigh,
     firstsite_construct,
     from_vector,
     fullbit_normal_form,
@@ -27,8 +28,8 @@ from symtt import (
     to_vector,
     verify_relation,
 )
-from symtt.errors import NotDiagonalizableError, SymmetryMismatchError, TooLargeError
-from symtt.linalg import dagger, frob
+from symtt.errors import BadParamsError, NotDiagonalizableError, SymmetryMismatchError, TooLargeError
+from symtt.linalg import dagger, exchange_matrix, frob
 from symtt.symmetry import bit_reversed, heuristic_bitflip_witness, shifted
 
 from conftest import group_orbit_count, random_complex, random_hermitian
@@ -456,6 +457,29 @@ def test_fullbit_normal_form_invariance(rng):
     before = to_vector(fullbit_state(a, 4))
     after = to_vector(MPSState([(lam, b)] * 4, boundary="periodic"))
     assert np.linalg.norm(after - before) < 1e-12 * max(np.linalg.norm(before), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_fullbit_reversal_equals_exchange_products(rng, n):
+    a = random_hermitian(rng, n)
+    j = exchange_matrix(n)
+    for site in fullbit_state(a, 3).sites:
+        assert np.array_equal(site[0], a) and np.array_equal(site[1], j @ a @ j)
+    w, v = eigh(a)
+    lam, b = fullbit_normal_form(a)
+    assert np.array_equal(lam, np.diag(w)) and np.array_equal(b, dagger(v) @ (j @ a @ j) @ v)
+    # a chain that breaks every fullbit relation, so each residual is nonzero
+    chain = MPSState([(random_hermitian(rng, n), random_complex(rng, n, n)) for _ in range(3)], boundary="periodic")
+    a0, a1 = chain.sites[0]
+    want = tuple(max(frob(b0 - a0), frob(b1 - a1), frob(b1 - j @ b0 @ j)) for b0, b1 in chain.sites)
+    rep = verify_relation(chain, SymmetryWitness(kind="fullbit"))
+    assert rep.site_residuals == want and rep.consistency_residuals == (frob(a0 - dagger(a0)),)
+
+
+@pytest.mark.parametrize("p", [0, -1, 2.5, 2.0, True, "3", None])
+def test_fullbit_state_rejects_bad_site_count(p):
+    with pytest.raises(BadParamsError, match="site count p must be an int >= 1"):
+        fullbit_state(np.eye(2), p)
 
 
 # ---------------------------------------------------- first / last site
