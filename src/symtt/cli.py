@@ -218,6 +218,9 @@ def _run_sym_construct(args, rep: Report) -> None:
     else:
         base = mps.from_vector(fileio.read_vec(args.vec))
         if kind == "bitshift":
+            # refuse a chain too large to write before building it
+            q, d = symmetry.ti_shape(base, args.block_len)
+            fileio._require_writable(args.out, [q * d] * (base.p + 1))
             state = symmetry.ti_construct(base, block_len=args.block_len)
             witness = SymmetryWitness(kind="bitshift", block_len=args.block_len)
         elif kind == "reverse":

@@ -8,51 +8,145 @@ trip reproduces every float64 exactly, signed zeros and subnormals included.
 Readers skip blank lines, require exactly two finite numbers on every entry
 line, and raise FormatError on any malformed header or entry line, and on
 any non-blank line after the last body the headers promise.
+
+Repeated bodies cost one body, with the format unchanged: the writer formats
+each distinct body (by its exact float64 bytes, so 0.0 and -0.0 differ) once
+and writes its text again where it recurs, and the reader parses each
+distinct body text once and returns the same read-only array where it
+recurs, so the sites of a site-independent chain share one core.
 """
 
 from __future__ import annotations
 
+import io
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, SymttError
-from .linalg import as_cmatrix, as_cvector
+from .errors import FormatError, SymttError, TooLargeError
+from .linalg import MAX_DENSE_BYTES, as_cmatrix, as_cvector
 from .mps import MPSState
 from .symmetry import SymmetryWitness
 
+#: entries formatted per step, which bounds the temporaries of a large body
+_FORMAT_CHUNK = 2**14
+#: ASCII whitespace other than " " and "\n": a file holding any of it is
+#: read through ``str.splitlines``
+_ODD_SPACE = (b"\t", b"\v", b"\f", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _entry_lines(flat: np.ndarray):
+    """The ``<re> <im>`` lines of a body given as its flat float64 view."""
+    for start in range(0, flat.size, 2 * _FORMAT_CHUNK):
+        values = flat[start : start + 2 * _FORMAT_CHUNK].tolist()
+        yield ("%.17g %.17g\n" * (len(values) // 2)) % tuple(values)
+
 
 def _write(path, parts) -> None:
-    """Write ``parts`` in order: a str is one header line, an array a body."""
+    """Write ``parts`` in order: a str is one header line, an array a body.
+
+    Bodies are told apart by their exact bytes, so 0.0 and -0.0 differ: a
+    hash of the bytes picks the earlier bodies to compare with, and only
+    references to the bodies are kept.  A body that occurs more than once is
+    formatted once and its text kept until the file is written; any other
+    body is written a chunk at a time.
+    """
+    distinct, bodies = {}, []  # hash -> the distinct bodies; each part's body
+    for part in parts:
+        if isinstance(part, str):
+            bodies.append(None)
+            continue
+        flat = np.ascontiguousarray(part, dtype=np.complex128).reshape(-1).view(np.float64)
+        same = distinct.setdefault(hash(flat.tobytes()), [])
+        bits = flat.view(np.uint64)
+        body = next((b for b in same if np.array_equal(b.view(np.uint64), bits)), None)
+        if body is None:
+            body = flat
+            same.append(body)
+        bodies.append(body)
+    repeats = Counter(map(id, bodies))
+    texts = {}  # id of a repeated body -> its text
     with open(path, "w", encoding="utf-8") as f:
-        for part in parts:
-            if isinstance(part, str):
+        for part, body in zip(parts, bodies):
+            if body is None:
                 f.write(part + "\n")
+            elif id(body) in texts:
+                f.write(texts[id(body)])
+            elif repeats[id(body)] > 1:
+                texts[id(body)] = "".join(_entry_lines(body))
+                f.write(texts[id(body)])
             else:
-                flat = np.ascontiguousarray(part, dtype=np.complex128).reshape(-1).view(np.float64)
-                f.write(("%.17g %.17g\n" * (flat.size // 2)) % tuple(flat.tolist()))
+                f.writelines(_entry_lines(body))
+
+
+def _line_ends(raw: bytes) -> np.ndarray:
+    """Offset of the end of every line of ``raw``: each "\\n", and the end of
+    a last line that has none."""
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    return np.append(ends, len(raw)) if raw and not raw.endswith(b"\n") else ends
+
+
+def _plain(raw: bytes, ends: np.ndarray) -> bool:
+    """True if ``raw`` is ASCII, its only line break is "\\n", its only other
+    whitespace is " ", and no line is empty or starts with " ": then every
+    line is non-blank, and the lines between ``ends`` are what
+    ``str.splitlines`` gives."""
+    heads = np.frombuffer(raw, dtype=np.uint8)[ends[:-1] + 1]
+    return (
+        raw.isascii()
+        and not raw.startswith((b"\n", b" "))
+        and not any(c in raw for c in _ODD_SPACE)
+        and not np.isin(heads, (ord("\n"), ord(" "))).any()
+    )
 
 
 class _Reader:
-    """The non-blank lines of one file, consumed front to back."""
+    """The non-blank lines of one file, consumed front to back.
+
+    The lines are held as one bytes object, separated by single "\\n", and
+    found through the offsets of their ends; no list of line strings is
+    built.  A file that is not ``_plain`` (CR line ends, blank lines, other
+    whitespace, non-ASCII or undecodable bytes) is first rewritten into that
+    form from ``str.splitlines``, skipping blank lines.  Each distinct body
+    text is parsed once; where it recurs (same hash, then the same bytes at
+    the offsets kept for it), the same array is returned again, made
+    read-only.
+    """
 
     def __init__(self, path):
         self.where = str(path)
-        # undecodable bytes become U+FFFD, which no header or entry accepts
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-        self.lines = list(filter(str.strip, text.splitlines()))
-        self.pos = 0
+        raw = Path(path).read_bytes()
+        ends = _line_ends(raw)
+        if not _plain(raw, ends):
+            # undecodable bytes become U+FFFD, which no header or entry accepts
+            text = raw.decode("utf-8", errors="replace")
+            raw = "\n".join(filter(str.strip, text.splitlines())).encode("utf-8")
+            ends = _line_ends(raw)
+        self.raw, self.ends, self.pos = raw, ends, 0
+        self.parsed = {}  # (rows, cols, hash of the body) -> (start, stop, array)
 
     def error(self, message: str) -> FormatError:
         return FormatError(f"{self.where}: {message}")
 
+    def span(self, n: int) -> tuple[int, int]:
+        """Offsets of the next ``n`` lines, joined by "\\n"; the caller checks
+        ``left``."""
+        start = int(self.ends[self.pos - 1]) + 1 if self.pos else 0
+        self.pos += n
+        return start, int(self.ends[self.pos - 1])
+
+    def lines(self, n: int) -> bytes:
+        """The next ``n`` lines, joined by "\\n"; the caller checks ``left``."""
+        start, stop = self.span(n)
+        return self.raw[start:stop]
+
     def header(self, tag: str, count: int, usage: str) -> list[str]:
         """The tokens after ``tag`` on the next line, which must hold
         ``count`` tokens and start with the tokens of ``tag``."""
-        if self.pos == len(self.lines):
+        if not self.left():
             raise self.error("unexpected end of file")
-        tokens = self.lines[self.pos].split()
-        self.pos += 1
+        tokens = self.lines(1).decode("utf-8").split()
         lead = tag.split()
         if len(tokens) != count or tokens[: len(lead)] != lead:
             raise self.error(f"expected '{usage}', got {' '.join(tokens)!r}")
@@ -70,22 +164,29 @@ class _Reader:
 
     def left(self) -> int:
         """Lines not read yet: an upper bound on the entries still to come."""
-        return len(self.lines) - self.pos
+        return len(self.ends) - self.pos
 
     def done(self) -> None:
         """Raise FormatError unless every non-blank line has been read."""
         if self.left():
-            raise self.error(f"{self.left()} non-blank line(s) after the last body, the first {self.lines[self.pos].strip()!r}")
+            left = self.left()
+            first = self.lines(1).decode("utf-8").strip()
+            raise self.error(f"{left} non-blank line(s) after the last body, the first {first!r}")
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         """The next rows*cols entry lines as a complex matrix, row major."""
         n = rows * cols
         if n > self.left():
             raise self.error(f"header promises {n} entries, but only {self.left()} lines remain")
-        body = self.lines[self.pos : self.pos + n]
-        self.pos += n
+        start, stop = self.span(n)
+        body = self.raw[start:stop]
+        key = (rows, cols, hash(body))
+        hit = self.parsed.get(key)
+        if hit is not None and self.raw[hit[0] : hit[1]] == body:
+            hit[2].flags.writeable = False  # shared from now on
+            return hit[2]
         try:
-            a = np.loadtxt(body, comments=None, ndmin=2)
+            a = np.loadtxt(io.BytesIO(body), comments=None, ndmin=2, encoding="utf-8")
         except ValueError as exc:
             raise self.error(f"entry lines must be '<re> <im>': {exc}") from None
         if a.shape != (n, 2):
@@ -93,7 +194,9 @@ class _Reader:
         if not np.isfinite(a).all():
             raise self.error("entries must be finite (no NaN/Inf)")
         # a view keeps the sign of an imaginary -0.0, which re + 1j*im would not
-        return a.view(np.complex128).reshape(rows, cols)
+        m = a.view(np.complex128).reshape(rows, cols)
+        self.parsed[key] = (start, stop, m)
+        return m
 
 
 def write_mat(path, a) -> None:
@@ -129,7 +232,21 @@ def read_vec(path) -> np.ndarray:
     return v
 
 
+def _require_writable(path, dims) -> None:
+    """Raise TooLargeError if the chain of bond dimensions ``dims`` holds more
+    than MAX_DENSE_BYTES of entries: the file holds every site, however few
+    distinct cores the chain shares.  Private, as every public function here
+    reads or writes ``path``; the CLI calls it before building a chain."""
+    nbytes = 16 * 2 * sum(a * b for a, b in zip(dims, dims[1:]))
+    if nbytes > MAX_DENSE_BYTES:
+        raise TooLargeError(
+            f"{path}: the {len(dims) - 1} sites of the chain hold {nbytes} bytes of entries, "
+            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
+        )
+
+
 def write_mps(path, m: MPSState) -> None:
+    _require_writable(path, m.dims)
     parts = [f"MPS1 {m.p} {m.boundary}", "DIMS " + " ".join(map(str, m.dims))]
     for j, (a0, a1) in enumerate(m.sites, start=1):
         parts += [f"SITE {j}", f"A0 {a0.shape[0]} {a0.shape[1]}", a0, f"A1 {a1.shape[0]} {a1.shape[1]}", a1]
@@ -141,7 +258,7 @@ def read_mps(path) -> MPSState:
     p, boundary = r.header("MPS1", 3, "MPS1 <p> <open|periodic>")
     p = r.int(p, 1)
     dims = [r.int(d, 1) for d in r.header("DIMS", p + 2, f"DIMS <{p + 1} bond dimensions>")]
-    sites = []
+    sites, pairs = [], {}
     for j in range(1, p + 1):
         r.header(f"SITE {j}", 2, f"SITE {j}")
         pair = []
@@ -150,7 +267,9 @@ def read_mps(path) -> MPSState:
             if (rows, cols) != (dims[j - 1], dims[j]):
                 raise r.error(f"site {j} shape {rows}x{cols} contradicts DIMS")
             pair.append(r.matrix(rows, cols))
-        sites.append(pair)
+        # a site whose two bodies recur is passed as the same object, so
+        # MPSState keeps one core for it
+        sites.append(pairs.setdefault((id(pair[0]), id(pair[1])), pair))
     r.done()
     try:
         return MPSState(sites, boundary=boundary)

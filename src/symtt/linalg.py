@@ -29,7 +29,8 @@ EPS_LIN = 1e-12
 #: relative singular-value cutoff defining numerical rank
 EPS_RANK = 1e-12
 #: size guard of the dense allocations (an assembled Hamiltonian, the
-#: accumulator of an MPS contraction, a site-independent chain)
+#: accumulator of an MPS contraction, a site-independent chain) and of
+#: the entries an MPS1 file holds
 MAX_DENSE_BYTES = 2**30
 
 
@@ -67,6 +68,12 @@ def require_tol(tol: float) -> None:
     """Reject a tolerance that is not a finite number >= 0 (NaN included)."""
     if not 0.0 <= tol < np.inf:
         raise BadParamsError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def require_site_count(p) -> None:
+    """Reject a site count that is not an int >= 1 (bools included)."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise BadParamsError(f"site count p must be an int >= 1, got {p!r}")
 
 
 def require_square(a: np.ndarray) -> int:

@@ -43,14 +43,16 @@ EPS_GAUGE = 1e-8
 class MPSState:
     """Immutable chain of MPS sites.
 
-    Each site is stored as one C-contiguous complex128 array of shape
-    (2, D_j, D_{j+1}) holding the pair (A_j^(0), A_j^(1)), so
-    ``a0, a1 = m.sites[j]`` still unpacks it.
+    Each site is stored as one read-only C-contiguous complex128 array of
+    shape (2, D_j, D_{j+1}) holding the pair (A_j^(0), A_j^(1)), so
+    ``a0, a1 = m.sites[j]`` still unpacks it.  Sites passed as the same
+    object share one core, so a site-independent chain such as
+    ``MPSState([(a0, a1)] * p)`` holds one site's numbers.
 
     Parameters
     ----------
     sites : sequence of (a0, a1) pairs or (2, D_j, D_{j+1}) arrays, one per
-        physical site; each is copied
+        physical site; each distinct object is copied once
     boundary : "open" or "periodic"
     """
 
@@ -60,13 +62,19 @@ class MPSState:
         if boundary not in ("open", "periodic"):
             raise BadParamsError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
         cores = []
+        copied = {}  # id(pair) -> (pair, core); holding the pair keeps its id unique
         for j, pair in enumerate(sites):
+            if id(pair) in copied:
+                cores.append(copied[id(pair)][1])
+                continue
             try:
                 core = np.array(pair, dtype=np.complex128, order="C")
             except ValueError:  # numpy's error for matrices of unequal shape
                 core = None
             if core is None or core.ndim != 3 or len(core) != 2:
                 raise ShapeMismatchError(f"site {j + 1}: the two matrices must share a 2-D shape")
+            core.flags.writeable = False
+            copied[id(pair)] = (pair, core)
             cores.append(core)
         if not cores:
             raise ShapeMismatchError("an MPS needs at least one site")

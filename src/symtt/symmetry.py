@@ -30,7 +30,7 @@ from .errors import (
     WitnessViolationError,
     ZeroVectorError,
 )
-from .linalg import MAX_DENSE_BYTES, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_tol, schur, svd
+from .linalg import MAX_DENSE_BYTES, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_site_count, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
 from .structured import _flip2
 
@@ -261,6 +261,14 @@ def _direct_sum(m: MPSState, partner) -> list[np.ndarray]:
 
 # -------------------------------------------------- bit-shift / TI constructs
 
+def ti_shape(m: MPSState, block_len: int = 1) -> tuple[int, int]:
+    """(q, D) of ``ti_construct(m, block_len)``: q = p / block_len cyclic
+    copies of sites zero-padded to size D, so the bond dimension is q * D."""
+    if block_len < 1 or m.p % block_len:
+        raise ShapeMismatchError(f"block length {block_len} must divide p = {m.p}")
+    return m.p // block_len, max(max(site.shape[1:]) for site in m.sites)
+
+
 def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
     """Site-independent periodic representation of a shift-symmetric vector.
 
@@ -272,12 +280,10 @@ def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
     """
     p = m.p
     r = block_len
-    if r < 1 or p % r:
-        raise ShapeMismatchError(f"block length {r} must divide p = {p}")
-    q = p // r
-    d = max(max(site.shape[1:]) for site in m.sites)
-    # MPSState stores each of the p output sites separately
-    nbytes = 16 * p * 2 * (q * d) ** 2
+    q, d = ti_shape(m, r)
+    # the output repeats its r distinct sites q times, and MPSState stores
+    # each distinct site once
+    nbytes = 16 * r * 2 * (q * d) ** 2
     if nbytes > MAX_DENSE_BYTES:
         raise TooLargeError(
             f"the site-independent chain of bond dimension {q * d} needs {nbytes} bytes, "
@@ -298,7 +304,8 @@ def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
             kk = (k + 1) % q if j == r - 1 else k
             site = m.sites[k * r + j]
             big[:, k * d : k * d + site.shape[1], kk * d : kk * d + site.shape[2]] = site
-        period.append(scale * big)
+        big *= scale
+        period.append(big)
     return MPSState(period * q, boundary="periodic")
 
 
@@ -520,8 +527,7 @@ def bitflip_normal_form(m: MPSState, w: SymmetryWitness) -> tuple[MPSState, Symm
 
 def fullbit_state(a, p: int) -> MPSState:
     """Site-independent periodic state with the pair (A, J A J), A Hermitian."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
-        raise BadParamsError(f"site count p must be an int >= 1, got {p!r}")
+    require_site_count(p)
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("need a square matrix")
@@ -610,6 +616,9 @@ def verify_relation(m: MPSState, w: SymmetryWitness) -> RelationReport:
         if r < 1 or p % r:
             raise ShapeMismatchError(f"block length {r} must divide p = {p}")
         for j in range(p):
+            if m.sites[j] is m.sites[j % r]:  # one shared core: the residual is exactly 0
+                res.append(0.0)
+                continue
             a0, a1 = m.sites[j]
             b0, b1 = m.sites[j % r]
             if a0.shape != b0.shape:

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from symtt import MPSState
+from symtt.errors import FormatError
 from symtt.linalg import as_cmatrix, as_cvector, dagger, frob, kron_chain, require_tol
 from symtt.structured import EPS_STRUCT, StructureFlags
 
@@ -162,3 +165,62 @@ def dense_classify(a, tol=EPS_STRUCT):
         ):
             omega = complex(cand)
     return StructureFlags(omega=omega, **flags)
+
+
+class line_list_reader:
+    """Oracle for ``fileio._Reader``: the reader that builds the list of every
+    non-blank line of the file and parses each body from its lines, with no
+    shared bodies.  It has ``_Reader``'s interface, so patching it in as
+    ``symtt.fileio._Reader`` gives the readers' results from line lists."""
+
+    def __init__(self, path):
+        self.where = str(path)
+        # undecodable bytes become U+FFFD, which no header or entry accepts
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        self.lines = list(filter(str.strip, text.splitlines()))
+        self.pos = 0
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self.where}: {message}")
+
+    def header(self, tag: str, count: int, usage: str) -> list[str]:
+        if self.pos == len(self.lines):
+            raise self.error("unexpected end of file")
+        tokens = self.lines[self.pos].split()
+        self.pos += 1
+        lead = tag.split()
+        if len(tokens) != count or tokens[: len(lead)] != lead:
+            raise self.error(f"expected '{usage}', got {' '.join(tokens)!r}")
+        return tokens[len(lead) :]
+
+    def int(self, token: str, least: int) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise self.error(f"expected an integer in the header, got {token!r}") from None
+        if value < least:
+            raise self.error(f"header value {value} must be >= {least}")
+        return value
+
+    def left(self) -> int:
+        return len(self.lines) - self.pos
+
+    def done(self) -> None:
+        if self.left():
+            raise self.error(f"{self.left()} non-blank line(s) after the last body, the first {self.lines[self.pos].strip()!r}")
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        n = rows * cols
+        if n > self.left():
+            raise self.error(f"header promises {n} entries, but only {self.left()} lines remain")
+        body = self.lines[self.pos : self.pos + n]
+        self.pos += n
+        try:
+            a = np.loadtxt(body, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise self.error(f"entry lines must be '<re> <im>': {exc}") from None
+        if a.shape != (n, 2):
+            raise self.error(f"entry lines must be '<re> <im>', got {a.shape[1]} numbers per line")
+        if not np.isfinite(a).all():
+            raise self.error("entries must be finite (no NaN/Inf)")
+        return a.view(np.complex128).reshape(rows, cols)

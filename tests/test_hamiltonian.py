@@ -19,7 +19,7 @@ from symtt import (
 )
 from symtt.errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
 from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _solve
-from symtt.linalg import EPS_LIN, EighResult, dagger, frob
+from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob, kron_chain
 
 from conftest import dense_reference, random_complex
 
@@ -239,6 +239,26 @@ def test_fourier_conjugate():
     assert frob(fourier_conjugate(assemble(model("hx", 2)), 2) - assemble(model("hz", 2))) < 1e-12
     assert frob(fourier_conjugate(assemble(model("hxx", 3)), 3) - assemble(model("hzz", 3))) < 1e-12
     assert frob(fourier_conjugate(np.eye(8), 3) - np.eye(8)) < 1e-12
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_fourier_conjugate_matches_kron_power(rng, p):
+    # oracle: the dense p-fold Kronecker power of the 2 x 2 Fourier matrix
+    h = random_complex(rng, 2**p, 2**p)
+    keep = h.copy()
+    f = kron_chain([fourier_matrix(2)] * p)
+    assert frob(fourier_conjugate(h, p) - f @ h @ f) <= 1e-12 * frob(h)
+    assert np.array_equal(h, keep)
+
+
+@pytest.mark.parametrize("p", [0, -1, 2.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("call", [
+    lambda p: closed_form_hx_spectrum(p),
+    lambda p: fourier_conjugate(np.eye(2), p),
+], ids=["closed_form_hx_spectrum", "fourier_conjugate"])
+def test_site_count_must_be_a_positive_int(call, p):
+    with pytest.raises(BadParamsError, match="site count p must be an int >= 1"):
+        call(p)
 
 
 def test_certify_structure_examples(rng):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 import symtt
 from symtt import MPSState, SymmetryWitness, from_vector, to_vector
+from symtt import fileio
 from symtt.cli import main
-from symtt.errors import FormatError
+from symtt.errors import FormatError, TooLargeError
 from symtt.fileio import (
     read_mat,
     read_mps,
@@ -27,7 +29,7 @@ from symtt.fileio import (
 )
 from symtt.symmetry import SYMMETRY_KINDS
 
-from conftest import random_complex, random_mps
+from conftest import line_list_reader, random_complex, random_mps
 
 
 def test_mat_roundtrip(tmp_path, rng):
@@ -194,6 +196,198 @@ def test_damaged_file_reads_or_raises_format_error(tmp_path, fmt, data):
         read(path)
     except FormatError:
         pass
+
+
+@st.composite
+def _repeated_mps(draw):
+    """A site-independent periodic chain, or one whose site j differs from
+    the others in one entry."""
+    p, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    pair = np.stack([draw(_cmatrix(d, d)), draw(_cmatrix(d, d))])
+    sites = [pair] * p
+    if draw(st.booleans()):
+        j, b, r, c = draw(st.integers(0, p - 1)), draw(st.integers(0, 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        odd = pair.copy()
+        odd[b, r, c] = draw(_cmatrix(1, 1))[0, 0]
+        sites[j] = odd
+    return MPSState(sites, boundary="periodic")
+
+
+@st.composite
+def _repeated_witness(draw):
+    m = draw(_any_mat())
+    mats = [m] * draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        odd = m.copy()
+        odd.reshape(-1)[draw(st.integers(0, m.size - 1))] = draw(_cmatrix(1, 1))[0, 0]
+        mats[draw(st.integers(0, len(mats) - 1))] = odd
+    return SymmetryWitness(kind="bitflip", matrices=tuple(mats))
+
+
+_DIFF_CODECS = {
+    **_CODECS,
+    "mps_repeated": (write_mps, read_mps, _repeated_mps()),
+    "wit_repeated": (write_witness, read_witness, _repeated_witness()),
+}
+_BLANK_LINES = [b"", b" ", b"\t", b" \t ", b"\x0c", b"\x1f", b"\r", b"\xc2\xa0", b"\xe2\x80\x83"]
+
+
+def _damage(data, raw: bytes) -> bytes:
+    """``raw`` after zero to three drawn edits: a cut, a replaced token, an
+    inserted blank or whitespace-only line, CRLF line ends, or a line dropped
+    or repeated."""
+    for kind in data.draw(st.lists(st.sampled_from(["cut", "token", "blank", "crlf", "drop", "repeat"]), max_size=3)):
+        lines = raw.split(b"\n")
+        if kind == "cut" and raw:
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "token" and re.search(rb"\S", raw):
+            tok = data.draw(st.sampled_from(list(re.finditer(rb"\S+", raw))))
+            new = data.draw(st.one_of(st.sampled_from([b"-0", b"0", b"nan", b"1e999", b"#", b"\n", b"1 0"]), st.binary(max_size=6)))
+            raw = raw[: tok.start()] + new + raw[tok.end() :]
+        elif kind == "blank":
+            at = data.draw(st.integers(0, len(lines)))
+            raw = b"\n".join(lines[:at] + [data.draw(st.sampled_from(_BLANK_LINES))] + lines[at:])
+        elif kind == "crlf":
+            raw = raw.replace(b"\n", b"\r\n")
+        elif kind in ("drop", "repeat"):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            raw = b"\n".join(lines[:at] + lines[at + (kind == "drop") :])
+    return raw
+
+
+def _outcome(read, path):
+    """Everything ``read`` gives for the file, or FormatError."""
+    try:
+        return _exact(read(path))
+    except FormatError:
+        return FormatError
+
+
+@pytest.mark.parametrize("fmt", sorted(_DIFF_CODECS))
+@_FUZZ
+@given(data=st.data())
+def test_reader_matches_line_list_reader(tmp_path, fmt, data):
+    """On round trips and damaged files, the offset reader returns the
+    line-list reader's values bit for bit, or both raise FormatError."""
+    write, read, values = _DIFF_CODECS[fmt]
+    path = tmp_path / f"x.{fmt}"
+    value = data.draw(values)
+    write(path, value)
+    raw = path.read_bytes()
+    damaged = _damage(data, raw)
+    path.write_bytes(damaged)
+    got = _outcome(read, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_Reader", line_list_reader)
+        want = _outcome(read, path)
+    assert got == want
+    if damaged == raw:
+        assert got == _exact(value)
+
+
+def test_repeated_sites_write_the_golden_per_site_bytes(tmp_path):
+    a0 = np.array([[1.0, -0.0], [5e-324, 1e300]])
+    a1 = np.array([[0.5j, 2], [-2.5, complex(-0.0, 0.1)]])
+    write_mps(tmp_path / "r.mps", MPSState([(a0, a1)] * 3, boundary="periodic"))
+    site = (
+        "A0 2 2\n1 0\n-0 0\n4.9406564584124654e-324 0\n1.0000000000000001e+300 0\n"
+        "A1 2 2\n0 0.5\n2 0\n-2.5 0\n-0 0.10000000000000001\n"
+    )
+    assert (tmp_path / "r.mps").read_text() == "MPS1 3 periodic\nDIMS 2 2 2 2\n" + "".join(
+        f"SITE {j}\n{site}" for j in (1, 2, 3)
+    )
+
+
+@pytest.mark.parametrize("base, other", [(0.0, -0.0), (1.0, np.nextafter(1.0, 2.0)), (0.0, 5e-324)],
+                         ids=["signed_zero", "one_ulp", "one_ulp_subnormal"])
+def test_sites_that_differ_in_one_bit_stay_distinct(tmp_path, base, other):
+    a = np.full((2, 2, 2), base)
+    b = a.copy()
+    b[1, 0, 1] = other
+    m = MPSState([a, b, a], boundary="periodic")
+    path = tmp_path / "m.mps"
+    write_mps(path, m)
+    lines = path.read_text().splitlines()
+    assert lines.count(f"{other:.17g} 0") == 1
+    back = read_mps(path)
+    assert _exact(back) == _exact(m)
+    assert back.sites[0] is back.sites[2] and back.sites[1] is not back.sites[0]
+
+
+def test_identical_bodies_read_back_into_one_read_only_core(tmp_path, rng):
+    pair = (random_complex(rng, 3, 3), random_complex(rng, 3, 3))
+    m = MPSState([pair] * 5, boundary="periodic")
+    assert all(site is m.sites[0] for site in m.sites) and not m.sites[0].flags.writeable
+    path = tmp_path / "m.mps"
+    write_mps(path, m)
+    back = read_mps(path)
+    assert all(site is back.sites[0] for site in back.sites)
+    assert not back.sites[0].flags.writeable
+    with pytest.raises(ValueError):
+        back.sites[3][0, 0, 0] = 1.0
+    assert _exact(back) == _exact(m)
+    # witness matrices with one body text are one read-only array
+    write_witness(path, SymmetryWitness(kind="bitflip", matrices=(pair[0],) * 3))
+    mats = read_witness(path).matrices
+    assert mats[0] is mats[2] and not mats[0].flags.writeable
+
+
+def test_reading_a_site_independent_chain_holds_one_site(tmp_path, rng):
+    # the bond-320 chain of 10 equal sites with 1.3 % nonzeros: 2 * 10 bodies
+    # of 102400 lines, 9 MB of text; a list of its 2M lines would take
+    # ~130 MB, its one site takes 3.3 MB
+    d = 320
+    site = np.zeros((2, d, d), dtype=np.complex128)
+    hit = rng.random(site.shape) < 0.013
+    site[hit] = random_complex(rng, int(hit.sum()))
+    path = tmp_path / "s10.mps"
+    write_mps(path, MPSState([site] * 10, boundary="periodic"))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = read_mps(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.sites[9], site) and back.sites[9] is back.sites[0]
+    # the bytes, a newline mask and 8-byte line offsets take ~3.8x the file
+    assert peak < 5 * size, f"read_mps peak {peak} B for a {size} B file"
+
+
+def test_codec_keeps_no_copy_of_a_chain_of_distinct_sites(tmp_path, rng):
+    # 10 distinct sites of bond 160: 8.2 MB of entries, 20.6 MB of text
+    sites = [random_complex(rng, 2, 160, 160) for _ in range(10)]
+    m = MPSState(sites, boundary="periodic")
+    chain = sum(site.nbytes for site in m.sites)
+    path = tmp_path / "distinct.mps"
+    tracemalloc.start()
+    try:
+        write_mps(path, m)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_mps(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _exact(back) == _exact(m)
+    # the writer holds references and one chunk of text, not the bodies' bytes
+    assert write_peak < chain / 2, f"write_mps peak {write_peak} B for {chain} B of entries"
+    # the reader holds the file's bytes, a newline mask and the parsed sites,
+    # not the text of every body it has parsed
+    size = path.stat().st_size
+    assert read_peak < 2.5 * size, f"read_mps peak {read_peak} B for a {size} B file"
+
+
+def test_write_mps_guards_every_site_of_a_shared_core(tmp_path, monkeypatch):
+    # one 2 x 4 x 4 core shared by p sites: the file holds 16 * 2 * 16 * p bytes
+    m = MPSState([np.ones((2, 4, 4))] * 3, boundary="periodic")
+    monkeypatch.setattr(fileio, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3 - 1)
+    with pytest.raises(TooLargeError, match=r"the 3 sites of the chain hold 1536 bytes.*MAX_DENSE_BYTES"):
+        write_mps(tmp_path / "big.mps", m)
+    assert not (tmp_path / "big.mps").exists()
+    monkeypatch.setattr(fileio, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3)
+    write_mps(tmp_path / "big.mps", m)
+    assert _exact(read_mps(tmp_path / "big.mps")) == _exact(m)
 
 
 def test_format_errors(tmp_path):
@@ -538,8 +732,10 @@ def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
     assert run_cli("mps", "to-vector", str(chain), "--out", str(tmp_path / "wide.vec")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "4294967296-byte accumulator" in err
-    # a full-rank shift-invariant p = 16 vector has bond 256, so its
-    # site-independent chain would take 16 * 2 * (16 * 256)^2 * 16 bytes
+    # a full-rank shift-invariant p = 16 vector has bond 256: the one distinct
+    # site of its site-independent chain would fit in memory, but the file
+    # would hold 16 * 2 * (16 * 256)^2 * 16 bytes of entries, so the command
+    # refuses before building the chain
     vec = tmp_path / "s16.vec"
     write_vec(vec, symtt.symmetrize_shift(random_complex(rng, 2**16)))
     out = tmp_path / "s16.mps"

@@ -79,9 +79,11 @@ def test_constructor_rejects_malformed_sites(sites, boundary, match):
 
 
 def assert_site_layout(m):
-    """Every site is one C-contiguous complex128 (2, D_j, D_{j+1}) array."""
+    """Every site is one read-only C-contiguous complex128 (2, D_j, D_{j+1})
+    array."""
     for j, site in enumerate(m.sites):
         assert isinstance(site, np.ndarray) and site.dtype == np.complex128 and site.flags.c_contiguous
+        assert not site.flags.writeable
         assert site.shape == (2, m.dims[j], m.dims[j + 1])
 
 
@@ -105,6 +107,18 @@ def test_every_chain_stores_one_array_per_site(p, seed):
         chains.append(read_mps(Path(tmp) / "m.mps"))
     for chain in chains:
         assert_site_layout(chain)
+
+
+def test_sites_passed_as_one_object_share_one_core(rng):
+    pair = (random_complex(rng, 2, 2), random_complex(rng, 2, 2))
+    m = MPSState([pair] * 4, boundary="periodic")
+    assert all(site is m.sites[0] for site in m.sites)
+    pair[0][0, 0] = 7.0  # the core is a copy
+    assert m.sites[0][0, 0, 0] != 7.0
+    # fresh objects are copied one by one, even where a freed object's id
+    # could come back
+    fresh = MPSState(([pair[0], pair[1]] for _ in range(4)), boundary="periodic")
+    assert len({id(site) for site in fresh.sites}) == 4
 
 
 # ------------------------------------------------------------- evaluation

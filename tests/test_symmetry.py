@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,12 +183,43 @@ def test_ti_construct_roundtrip_and_growth(rng):
 
 
 def test_ti_construct_guards_its_output():
-    # open p = 16, bond 256: the output repeats 16 sites of bond dimension
-    # 16 * 256, 8.6 GB, so the guard must refuse before the symmetry check
-    inner = np.zeros((2, 256, 256), dtype=complex)
-    sites = [np.zeros((2, 1, 256), dtype=complex)] + [inner] * 14 + [np.zeros((2, 256, 1), dtype=complex)]
+    # open p = 16, bond 1024: the output repeats one site of bond dimension
+    # 16 * 1024, 8.6 GB, so the guard must refuse before the symmetry check
+    inner = np.zeros((2, 1024, 1024), dtype=complex)
+    sites = [np.zeros((2, 1, 1024), dtype=complex)] + [inner] * 14 + [np.zeros((2, 1024, 1), dtype=complex)]
     with pytest.raises(TooLargeError, match=r"8589934592 bytes.*MAX_DENSE_BYTES"):
         ti_construct(MPSState(sites, boundary="open"))
+
+
+def test_ti_construct_holds_two_copies_of_its_distinct_sites(rng):
+    # full-rank p = 8: bond 16, so the one distinct site is 16 * 2 * 128^2 bytes
+    m = from_vector(symmetrize_shift(rand_vec(rng, 8)))
+    tracemalloc.start()
+    try:
+        out = ti_construct(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    site = 16 * 2 * (8 * max(m.dims)) ** 2
+    assert out.sites[0].nbytes == site and peak < 2.5 * site
+
+
+def test_site_independent_chains_share_one_core(rng, monkeypatch):
+    x = symmetrize_shift(rand_vec(rng, 6), r=2)
+    out = ti_construct(from_vector(x), block_len=2)
+    assert [id(s) for s in out.sites] == [id(out.sites[j % 2]) for j in range(6)]
+    assert out.sites[0] is not out.sites[1] and not out.sites[0].flags.writeable
+    state = fullbit_state(np.eye(2), 3)
+    assert all(s is state.sites[0] for s in state.sites)
+    # a site that is site 1's core needs no residual: frob is never called
+    calls = []
+    monkeypatch.setattr("symtt.symmetry.frob", lambda a: calls.append(a) or frob(a))
+    assert verify_relation(out, SymmetryWitness(kind="bitshift", block_len=2)).site_residuals == (0.0,) * 6
+    assert calls == []
+    # equal sites held as separate copies get their (zero) residuals computed
+    copies = MPSState([np.array(out.sites[j % 2]) for j in range(6)], boundary="periodic")
+    assert verify_relation(copies, SymmetryWitness(kind="bitshift", block_len=2)).site_residuals == (0.0,) * 6
+    assert len(calls) == 2 * 4  # sites 3..6, two matrices each
 
 
 def test_ti_construct_rejects_asymmetric(rng):
