@@ -17,7 +17,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+
+if "numpy" not in sys.modules:
+    # A CLI process runs OpenBLAS with one thread, whatever the caller's
+    # setting: the kernels are small, a second thread only adds start-up cost
+    # and memory, and the output bytes must not depend on the thread count.
+    # OpenBLAS reads the variable once, when numpy loads it; a process that
+    # loaded numpy first keeps its own setting.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -525,6 +525,93 @@ def test_cli_start_up_never_loads_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "0 []"
 
 
+#: symtt.__all__ as it stood when the package still imported every module
+PUBLIC_NAMES = (
+    "BlockPair ClassifiedEigenbasis DofReport EPS_LIN EPS_RANK EPS_STRUCT EPS_SYM EighResult GaugeReport "
+    "HamiltonianSpec LocalTermSpec MPSState OrbitReport ReverseNormalForm SpectrumReport StructureFlags "
+    "SvdResult SymmetryWitness SymttError VidalForm anisotropic_xy_transform assemble bitflip_construct "
+    "bitflip_normal_form block_diagonalize certify_structure check_gauge check_vidal circulant_eigenvalues "
+    "classified_eigenbasis classify closed_form_hx_spectrum corner_blocks detect_vector_symmetries dof_count "
+    "eigh errors eval_component exchange_matrix firstsite_construct fourier_conjugate fourier_matrix "
+    "from_vector fullbit_normal_form fullbit_state ground_state hamiltonian kron lastsite_construct linalg "
+    "model mps omega_to_circulant orbits pauli persym_split reverse_construct reverse_normal_form schur "
+    "spin1 strong_normalize structured svd symmetrize_flip symmetrize_reverse symmetrize_shift symmetry "
+    "ti_construct ti_normal_form to_vector truncate two_site_sweep verify_relation vidal_from_vector vidal_to_a"
+).split()
+
+
+def _src_env(**extra):
+    src = str(Path(symtt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def test_package_names_load_on_first_use(tmp_path):
+    script = (
+        "import json, sys\n"
+        "import symtt, symtt.errors\n"
+        "before = 'numpy' in sys.modules\n"
+        "resolved = all(getattr(symtt, name) is not None for name in symtt.__all__)\n"
+        "star = {}\n"
+        "exec('from symtt import *', star)\n"
+        "try:\n"
+        "    symtt.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps([before, symtt.__all__, resolved, sorted(set(star) - {'__builtins__'}), dir(symtt), unknown]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_src_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    numpy_loaded, names, resolved, star, listed, unknown = json.loads(run.stdout)
+    assert not numpy_loaded
+    assert names == sorted(PUBLIC_NAMES)
+    assert resolved
+    assert star == names
+    assert set(names) <= set(listed)
+    assert unknown == "module 'symtt' has no attribute 'no_such_name'"
+
+
+def test_cli_pins_one_blas_thread_only_before_numpy(tmp_path):
+    script = (
+        "import os, sys\n"
+        "if sys.argv[1] == 'numpy-first':\n"
+        "    import numpy\n"
+        "import symtt.cli\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    for order, expected in (("cli-first", "1"), ("numpy-first", "3")):
+        run = subprocess.run([sys.executable, "-c", script, order], cwd=tmp_path, env=_src_env(OPENBLAS_NUM_THREADS="3"),
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == expected, order
+
+
+def test_cli_output_is_independent_of_blas_threads(tmp_path):
+    # each command differs between one and two OpenBLAS threads unless the
+    # CLI pins the thread count before numpy loads
+    rng = np.random.default_rng(14)
+    x = random_complex(rng, 2**14)
+    write_vec(tmp_path / "x.vec", x)
+    write_vec(tmp_path / "f.vec", x + x[::-1])
+    commands = {
+        "from-vector": (["mps", "from-vector", "../x.vec", "--out", "x.mps"], ["x.mps"]),
+        "bitflip": (["sym", "construct", "--kind", "bitflip", "--vec", "../f.vec", "--out", "f.mps", "--wit", "f.wit"],
+                    ["f.mps", "f.wit"]),
+        "ground": (["ham", "ground", "--model", "heis_xyz", "--p", "10", "--bc", "periodic", "--out", "g.mat"], ["g.mat"]),
+    }
+    results = {}
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        for name, (argv, files) in commands.items():
+            run = subprocess.run([sys.executable, "-m", "symtt.cli", *argv], cwd=work,
+                                 env=_src_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            results[threads, name] = [run.stdout, *((work / f).read_bytes() for f in files)]
+    for name in commands:
+        assert results["1", name] == results["2", name], name
+
+
 def test_cli_deterministic_output(tmp_path):
     vec = tmp_path / "x.vec"
     rng = np.random.default_rng(7)
@@ -767,6 +854,7 @@ def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
         (("sym", "detect", "{dir}/ghz.vec", "--tol", "nan"), "tol .* got nan"),
         (("sym", "detect", "{dir}/ghz.vec", "--tol", "-1"), "tol .* got -1"),
         (("struct", "circulant-eig", "{dir}/eye.mat"), "1 x n or n x 1 first row, got shape \\(2, 2\\)"),
+        (("sym", "dof", "--p", "25", "--kinds", "bitshift"), "1879048192 bytes of int64 labels"),
     ],
 )
 def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):

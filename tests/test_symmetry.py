@@ -31,6 +31,7 @@ from symtt import (
 )
 from symtt.errors import BadParamsError, NotDiagonalizableError, SymmetryMismatchError, TooLargeError
 from symtt.linalg import dagger, exchange_matrix, frob
+from symtt import symmetry
 from symtt.symmetry import bit_reversed, heuristic_bitflip_witness, shifted
 
 from conftest import group_orbit_count, random_complex, random_hermitian
@@ -143,9 +144,20 @@ def test_dof_bounds():
         assert counts["reverse"] >= 2 ** (p - 1)
 
 
-def test_dof_guard():
-    with pytest.raises(TooLargeError):
+def test_dof_guard(monkeypatch):
+    with pytest.raises(TooLargeError, match="p = 25 needs 1879048192 bytes .* MAX_DENSE_BYTES"):
         dof_count(25, ["bitshift"])
+    for p in (2.5, "3", True, 0):
+        with pytest.raises(BadParamsError, match="site count"):
+            dof_count(p, ["bitshift"])
+
+    # p = 24 passes the byte guard; stop at the first label array it builds
+    def first_allocation(p):
+        raise RuntimeError(f"allocating labels for p = {p}")
+
+    monkeypatch.setattr(symmetry, "reverse_perm", first_allocation)
+    with pytest.raises(RuntimeError, match="p = 24"):
+        dof_count(24, ["bitshift"])
 
 
 @pytest.mark.parametrize("p", range(1, 15))
