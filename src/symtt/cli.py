@@ -218,7 +218,10 @@ def _run_sym(args, rep: Report) -> None:
 def _run_sym_construct(args, rep: Report) -> None:
     kind = args.kind
     if kind == "fullbit":
-        state = symmetry.fullbit_state(fileio.read_mat(args.mat), args.p)
+        m = fileio.read_mat(args.mat)
+        # refuse a chain too large to write before building it
+        fileio._require_writable(args.out, args.p, args.p * 2 * m.size)
+        state = symmetry.fullbit_state(m, args.p)
         witness = SymmetryWitness(kind="fullbit")
     elif kind in ("firstsite", "lastsite"):
         build = symmetry.firstsite_construct if kind == "firstsite" else symmetry.lastsite_construct
@@ -229,7 +232,7 @@ def _run_sym_construct(args, rep: Report) -> None:
         if kind == "bitshift":
             # refuse a chain too large to write before building it
             q, d = symmetry.ti_shape(base, args.block_len)
-            fileio._require_writable(args.out, [q * d] * (base.p + 1))
+            fileio._require_writable(args.out, base.p, base.p * 2 * (q * d) ** 2)
             state = symmetry.ti_construct(base, block_len=args.block_len)
             witness = SymmetryWitness(kind="bitshift", block_len=args.block_len)
         elif kind == "reverse":

@@ -10,10 +10,11 @@ line, and raise FormatError on any malformed header or entry line, and on
 any non-blank line after the last body the headers promise.
 
 Repeated bodies cost one body, with the format unchanged: the writer formats
-each distinct body (by its exact float64 bytes, so 0.0 and -0.0 differ) once
-and writes its text again where it recurs, and the reader parses each
-distinct body text once and returns the same read-only array where it
-recurs, so the sites of a site-independent chain share one core.
+a body passed as the same array object once and writes its text again where
+it recurs (``write_mps`` passes a shared core as the same two matrices), and
+the reader parses each distinct body text once and returns the same
+read-only array where it recurs, so a site-independent chain costs one site
+both ways.  Equal bodies in separate arrays are formatted each time.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ _FORMAT_CHUNK = 2**14
 _ODD_SPACE = (b"\t", b"\v", b"\f", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _entry_lines(flat: np.ndarray):
-    """The ``<re> <im>`` lines of a body given as its flat float64 view."""
+def _entry_lines(body: np.ndarray):
+    """The ``<re> <im>`` lines of a body, ``_FORMAT_CHUNK`` entries at a time."""
+    flat = np.ascontiguousarray(body, dtype=np.complex128).reshape(-1).view(np.float64)
     for start in range(0, flat.size, 2 * _FORMAT_CHUNK):
         values = flat[start : start + 2 * _FORMAT_CHUNK].tolist()
         yield ("%.17g %.17g\n" * (len(values) // 2)) % tuple(values)
@@ -46,38 +48,22 @@ def _entry_lines(flat: np.ndarray):
 def _write(path, parts) -> None:
     """Write ``parts`` in order: a str is one header line, an array a body.
 
-    Bodies are told apart by their exact bytes, so 0.0 and -0.0 differ: a
-    hash of the bytes picks the earlier bodies to compare with, and only
-    references to the bodies are kept.  A body that occurs more than once is
-    formatted once and its text kept until the file is written; any other
-    body is written a chunk at a time.
+    A body whose array object recurs in ``parts`` is formatted once and its
+    text written again where it recurs; any other body is written a chunk at
+    a time.
     """
-    distinct, bodies = {}, []  # hash -> the distinct bodies; each part's body
-    for part in parts:
-        if isinstance(part, str):
-            bodies.append(None)
-            continue
-        flat = np.ascontiguousarray(part, dtype=np.complex128).reshape(-1).view(np.float64)
-        same = distinct.setdefault(hash(flat.tobytes()), [])
-        bits = flat.view(np.uint64)
-        body = next((b for b in same if np.array_equal(b.view(np.uint64), bits)), None)
-        if body is None:
-            body = flat
-            same.append(body)
-        bodies.append(body)
-    repeats = Counter(map(id, bodies))
+    repeats = Counter(map(id, parts))
     texts = {}  # id of a repeated body -> its text
     with open(path, "w", encoding="utf-8") as f:
-        for part, body in zip(parts, bodies):
-            if body is None:
+        for part in parts:
+            if isinstance(part, str):
                 f.write(part + "\n")
-            elif id(body) in texts:
-                f.write(texts[id(body)])
-            elif repeats[id(body)] > 1:
-                texts[id(body)] = "".join(_entry_lines(body))
-                f.write(texts[id(body)])
+            elif repeats[id(part)] == 1:
+                f.writelines(_entry_lines(part))
             else:
-                f.writelines(_entry_lines(body))
+                if id(part) not in texts:
+                    texts[id(part)] = "".join(_entry_lines(part))
+                f.write(texts[id(part)])
 
 
 def _line_ends(raw: bytes) -> np.ndarray:
@@ -232,23 +218,26 @@ def read_vec(path) -> np.ndarray:
     return v
 
 
-def _require_writable(path, dims) -> None:
-    """Raise TooLargeError if the chain of bond dimensions ``dims`` holds more
-    than MAX_DENSE_BYTES of entries: the file holds every site, however few
-    distinct cores the chain shares.  Private, as every public function here
-    reads or writes ``path``; the CLI calls it before building a chain."""
-    nbytes = 16 * 2 * sum(a * b for a, b in zip(dims, dims[1:]))
+def _require_writable(path, p: int, entries: int) -> None:
+    """Raise TooLargeError if a chain of ``p`` sites holding ``entries``
+    complex entries in all is over MAX_DENSE_BYTES: the file holds every site,
+    however few distinct cores the chain shares.  Private, as every public
+    function here reads or writes ``path``; the CLI calls it before building
+    a chain."""
+    nbytes = 16 * entries
     if nbytes > MAX_DENSE_BYTES:
         raise TooLargeError(
-            f"{path}: the {len(dims) - 1} sites of the chain hold {nbytes} bytes of entries, "
+            f"{path}: the {p} sites of the chain hold {nbytes} bytes of entries, "
             f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
         )
 
 
 def write_mps(path, m: MPSState) -> None:
-    _require_writable(path, m.dims)
+    _require_writable(path, m.p, sum(core.size for core in m.sites))
     parts = [f"MPS1 {m.p} {m.boundary}", "DIMS " + " ".join(map(str, m.dims))]
-    for j, (a0, a1) in enumerate(m.sites, start=1):
+    views = {}  # id of a core -> its two matrices, the same objects wherever the core recurs
+    for j, core in enumerate(m.sites, start=1):
+        a0, a1 = views.setdefault(id(core), tuple(core))
         parts += [f"SITE {j}", f"A0 {a0.shape[0]} {a0.shape[1]}", a0, f"A1 {a1.shape[0]} {a1.shape[1]}", a1]
     _write(path, parts)
 

@@ -148,10 +148,17 @@ class OrbitReport:
 
 
 def orbits(bits: str) -> OrbitReport:
-    """Index sets sharing a component value under each symmetry."""
+    """Index sets sharing a component value under each symmetry.  The shift
+    orbit holds up to p rotations of p characters, and p^2 must fit in
+    MAX_DENSE_BYTES (p <= 32768)."""
     if not bits or set(bits) - {"0", "1"}:
         raise BadParamsError(f"bits must be a nonempty 0/1 string, got {bits!r}")
     p = len(bits)
+    if p * p > MAX_DENSE_BYTES:
+        raise TooLargeError(
+            f"the shift orbit of {p} bits holds up to {p * p} bytes of rotations, "
+            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
+        )
     shift = frozenset(bits[k:] + bits[:k] for k in range(p))
     flip = frozenset({bits, "".join("1" if c == "0" else "0" for c in bits)})
     rev = frozenset({bits, bits[::-1]})

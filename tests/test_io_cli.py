@@ -314,6 +314,24 @@ def test_sites_that_differ_in_one_bit_stay_distinct(tmp_path, base, other):
     assert back.sites[0] is back.sites[2] and back.sites[1] is not back.sites[0]
 
 
+def test_writer_formats_a_body_once_per_array_object(tmp_path, rng, monkeypatch):
+    formatted = []
+    entry_lines = fileio._entry_lines
+    monkeypatch.setattr(fileio, "_entry_lines", lambda body: formatted.append(body) or entry_lines(body))
+    site = random_complex(rng, 2, 3, 3)
+    write_mps(tmp_path / "m.mps", MPSState([site] * 10, boundary="periodic"))
+    assert len(formatted) == 2
+    formatted.clear()
+    m = random_complex(rng, 4, 4)
+    write_witness(tmp_path / "w.wit", SymmetryWitness(kind="bitflip", matrices=(m,) * 3))
+    assert len(formatted) == 1
+    # equal bodies in separate arrays are each formatted, to the same text
+    formatted.clear()
+    write_witness(tmp_path / "c.wit", SymmetryWitness(kind="bitflip", matrices=(m, m.copy(), m.copy())))
+    assert len(formatted) == 3
+    assert (tmp_path / "c.wit").read_bytes() == (tmp_path / "w.wit").read_bytes()
+
+
 def test_identical_bodies_read_back_into_one_read_only_core(tmp_path, rng):
     pair = (random_complex(rng, 3, 3), random_complex(rng, 3, 3))
     m = MPSState([pair] * 5, boundary="periodic")
@@ -829,6 +847,19 @@ def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
     assert run_cli("sym", "construct", "--kind", "bitshift", "--vec", str(vec), "--out", str(out), "--wit", str(tmp_path / "s16.wit")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "8589934592 bytes" in err and "MAX_DENSE_BYTES" in err
+    assert not out.exists()
+    # 32769 bits: the shift orbit would hold up to 32769^2 bytes of rotations
+    assert run_cli("sym", "orbits", "--bits", "1" + "0" * 32768) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1073807361 bytes" in err and "MAX_DENSE_BYTES" in err
+    # 10^12 sites of the pair (A, JAJ) of 1 x 1 matrices: 32 * 10^12 bytes of
+    # entries, refused before the list of sites is built
+    mat = tmp_path / "a.mat"
+    write_mat(mat, np.ones((1, 1)))
+    out = tmp_path / "f.mps"
+    assert run_cli("sym", "construct", "--kind", "fullbit", "--mat", str(mat), "--p", str(10**12), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "32000000000000 bytes" in err and "MAX_DENSE_BYTES" in err
     assert not out.exists()
 
 

@@ -30,9 +30,10 @@ from symtt import (
     verify_relation,
 )
 from symtt.errors import BadParamsError, NotDiagonalizableError, SymmetryMismatchError, TooLargeError
+from symtt.hamiltonian import TABLE_MODELS, ground_state, model
 from symtt.linalg import dagger, exchange_matrix, frob
 from symtt import symmetry
-from symtt.symmetry import bit_reversed, heuristic_bitflip_witness, shifted
+from symtt.symmetry import EPS_SYM, bit_reversed, heuristic_bitflip_witness, shifted
 
 from conftest import group_orbit_count, random_complex, random_hermitian
 
@@ -111,6 +112,14 @@ def test_orbit_closure():
     rep = orbits("1100")
     for s in rep.shift_orbit:
         assert s[1:] + s[0] in rep.shift_orbit
+
+
+def test_orbits_guard(monkeypatch):
+    # the shift orbit of p bits holds up to p rotations of p characters
+    monkeypatch.setattr(symmetry, "MAX_DENSE_BYTES", 100)
+    assert len(orbits("1" + "0" * 9).shift_orbit) == 10
+    with pytest.raises(TooLargeError, match=r"11 bits holds up to 121 bytes.*MAX_DENSE_BYTES guard of 100 bytes"):
+        orbits("1" + "0" * 10)
 
 
 # ----------------------------------------------------------------- dof count
@@ -661,3 +670,34 @@ def test_ti_reverse_hermitian_form(rng):
     m = MPSState([(a0, a1)] * 4, boundary="periodic")
     x = to_vector(m)
     assert np.linalg.norm(x - np.conj(bit_reversed(x))) < 1e-10 * np.linalg.norm(x)
+
+
+# ------------------------------------------------- the paper's chain, end to end
+
+@pytest.mark.parametrize("name", TABLE_MODELS)
+def test_ground_state_symmetries_construct_and_verify(name):
+    # ground vector -> chain -> detected symmetries -> each matching construct,
+    # whose site relations must hold and whose vector must be the ground vector
+    built = set()
+    for params, boundary, p in itertools.product(
+        ({}, {"jx": 1.0, "jy": 0.5, "jz": 0.3, "lam": 0.7}), ("open", "periodic"), range(2, 9)
+    ):
+        rep = ground_state(model(name, p, params, boundary=boundary))
+        if rep.gap <= 1e-8:
+            continue
+        x = rep.ground_vector
+        m = from_vector(x)
+        for kind in sorted(detect_vector_symmetries(to_vector(m))):
+            if kind in ("bitflip+", "bitflip-"):
+                out, wit = bitflip_construct(m, sign=1 if kind == "bitflip+" else -1)
+            elif kind == "reverse":
+                out, wit = reverse_construct(m)
+            elif kind == "bitshift" and boundary == "periodic":
+                out, wit = ti_construct(m), SymmetryWitness(kind="bitshift")
+            else:
+                continue
+            case = f"{name} {params} {boundary} p={p} {kind}"
+            assert verify_relation(out, wit).max_residual <= EPS_SYM * symmetry._state_scale(out), case
+            assert np.linalg.norm(to_vector(out) - x) <= 1e-10, case
+            built.add(wit.kind)
+    assert built == {"bitflip", "reverse", "bitshift"}
