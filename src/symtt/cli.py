@@ -268,15 +268,7 @@ def _run_sym_normal_form(args, rep: Report) -> None:
             fileio.write_witness(args.wit_out, diag)
             rep.add("witness", args.wit_out)
     elif kind == "ti":
-        state = fileio.read_mps(args.mps)
-        check = symmetry.verify_relation(state, SymmetryWitness(kind="bitshift"))
-        if check.max_residual > symmetry.EPS_SYM:
-            raise SymttError(
-                f"ti normal form needs a site-independent chain (site residual {check.max_residual:.2e})"
-            )
-        a0, a1 = state.sites[0]
-        nf0, nf1 = symmetry.ti_normal_form(a0, a1)
-        out = mps.MPSState([(nf0, nf1)] * state.p, boundary="periodic")
+        out = symmetry.ti_chain_normal_form(fileio.read_mps(args.mps))
         fileio.write_mps(args.out, out)
         rep.add("written", args.out)
     else:  # fullbit

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, SymttError, TooLargeError
-from .linalg import MAX_DENSE_BYTES, as_cmatrix, as_cvector
+from .errors import FormatError, SymttError
+from .linalg import as_cmatrix, as_cvector, require_bytes
 from .mps import MPSState
 from .symmetry import SymmetryWitness
 
@@ -225,11 +225,7 @@ def _require_writable(path, p: int, entries: int) -> None:
     function here reads or writes ``path``; the CLI calls it before building
     a chain."""
     nbytes = 16 * entries
-    if nbytes > MAX_DENSE_BYTES:
-        raise TooLargeError(
-            f"{path}: the {p} sites of the chain hold {nbytes} bytes of entries, "
-            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
-        )
+    require_bytes(nbytes, f"{path}: the {p} sites of the chain hold {nbytes} bytes of entries")
 
 
 def write_mps(path, m: MPSState) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from .linalg import EPS_LIN, MAX_DENSE_BYTES, _fix_phases, as_cmatrix, eigh, frob, require_site_count
+from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, frob, require_bytes, require_site_count
 from .structured import EPS_STRUCT, StructureFlags, _half_blocks, _lift, classify
 
 #: full-eigendecomposition guard for ground states
@@ -210,8 +210,7 @@ def model(name: str, p: int, params: dict | None = None, boundary: str = "open")
     """
     if name not in MODEL_NAMES:
         raise UnknownModelError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
-    if p < 1:
-        raise BadParamsError(f"site count must be >= 1, got {p}")
+    require_site_count(p)
     if boundary not in ("open", "periodic"):
         raise BadParamsError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     params = dict(params or {})
@@ -273,11 +272,7 @@ def assemble(spec: HamiltonianSpec) -> np.ndarray:
     nonzeros."""
     dim = spec.d**spec.p
     nbytes = 16 * dim * dim
-    if nbytes > MAX_DENSE_BYTES:
-        raise TooLargeError(
-            f"dense assembly of dimension {dim} needs {nbytes} bytes, "
-            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
-        )
+    require_bytes(nbytes, f"dense assembly of dimension {dim} needs {nbytes} bytes")
     ident = np.eye(spec.d, dtype=np.complex128)
     h = np.zeros((dim, dim), dtype=np.complex128)
     for term in spec.terms:

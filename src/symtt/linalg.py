@@ -22,15 +22,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError
+from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, TooLargeError
 
 #: relative residual tolerance the kernels are required to meet
 EPS_LIN = 1e-12
 #: relative singular-value cutoff defining numerical rank
 EPS_RANK = 1e-12
-#: size guard of the dense allocations (an assembled Hamiltonian, the
-#: accumulator of an MPS contraction, a site-independent chain) and of
-#: the entries an MPS1 file holds
+#: size guard, in bytes, of the dense allocations (an assembled Hamiltonian,
+#: the accumulator of an MPS contraction, a site-independent chain, orbit
+#: labels and rotations) and of the entries an MPS1 file holds; compared
+#: only in ``require_bytes``
 MAX_DENSE_BYTES = 2**30
 
 
@@ -74,6 +75,13 @@ def require_site_count(p) -> None:
     """Reject a site count that is not an int >= 1 (bools included)."""
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
         raise BadParamsError(f"site count p must be an int >= 1, got {p!r}")
+
+
+def require_bytes(nbytes: int, allocation: str) -> None:
+    """Raise TooLargeError if ``nbytes`` is over MAX_DENSE_BYTES (read at call
+    time); ``allocation`` names the allocation and its size."""
+    if nbytes > MAX_DENSE_BYTES:
+        raise TooLargeError(f"{allocation}, over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes")
 
 
 def require_square(a: np.ndarray) -> int:

@@ -32,9 +32,9 @@ from .errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from .linalg import MAX_DENSE_BYTES, as_cvector, dagger, frob, split, svd
+from .linalg import as_cvector, dagger, frob, require_bytes, split, svd
 
-#: evaluation guard
+#: most components ``to_vector`` returns, a bound on the 2^p work built on it
 MAX_VECTOR_DIM = 2**20
 #: largest left-gauge residual strong_normalize accepts on its input
 EPS_GAUGE = 1e-8
@@ -136,17 +136,14 @@ def to_vector(m: MPSState) -> np.ndarray:
 
     Besides the 2^p output, ``_contract`` holds 2^(p-j+1) D_j x D_{p+1}
     matrices after folding sites j..p; the largest of these accumulators
-    must fit in MAX_DENSE_BYTES.
+    must fit in MAX_DENSE_BYTES.  The output itself is capped at
+    MAX_VECTOR_DIM components.
     """
     if 2**m.p > MAX_VECTOR_DIM:
         raise TooLargeError(f"dense evaluation of 2^{m.p} components exceeds the guard")
     dims = m.dims
     nbytes = 16 * dims[-1] * max(2 ** (m.p - j) * dims[j] for j in range(m.p))
-    if nbytes > MAX_DENSE_BYTES:
-        raise TooLargeError(
-            f"contraction needs a {nbytes}-byte accumulator, "
-            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
-        )
+    require_bytes(nbytes, f"contraction needs a {nbytes}-byte accumulator")
     return _contract(m.sites)
 
 

@@ -25,12 +25,11 @@ from .errors import (
     NotHermitianError,
     ShapeMismatchError,
     SymmetryMismatchError,
-    TooLargeError,
     UnknownNameError,
     WitnessViolationError,
     ZeroVectorError,
 )
-from .linalg import MAX_DENSE_BYTES, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_site_count, require_tol, schur, svd
+from .linalg import as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_bytes, require_site_count, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
 from .structured import _flip2
 
@@ -78,11 +77,6 @@ def shifted(x: np.ndarray, r: int = 1) -> np.ndarray:
 
 def bit_reversed(x: np.ndarray) -> np.ndarray:
     return x[reverse_perm(_check_pow2(x))]
-
-
-def flipped(x: np.ndarray) -> np.ndarray:
-    """J x: all bits complemented, i.e. the entries in reverse order."""
-    return x[::-1]
 
 
 def symmetrize_shift(x, r: int = 1) -> np.ndarray:
@@ -154,11 +148,7 @@ def orbits(bits: str) -> OrbitReport:
     if not bits or set(bits) - {"0", "1"}:
         raise BadParamsError(f"bits must be a nonempty 0/1 string, got {bits!r}")
     p = len(bits)
-    if p * p > MAX_DENSE_BYTES:
-        raise TooLargeError(
-            f"the shift orbit of {p} bits holds up to {p * p} bytes of rotations, "
-            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
-        )
+    require_bytes(p * p, f"the shift orbit of {p} bits holds up to {p * p} bytes of rotations")
     shift = frozenset(bits[k:] + bits[:k] for k in range(p))
     flip = frozenset({bits, "".join("1" if c == "0" else "0" for c in bits)})
     rev = frozenset({bits, bits[::-1]})
@@ -184,11 +174,7 @@ def dof_count(p: int, kinds) -> DofReport:
     """
     require_site_count(p)
     nbytes = _DOF_LABEL_ARRAYS * 8 * 2**p
-    if nbytes > MAX_DENSE_BYTES:
-        raise TooLargeError(
-            f"orbit counting at p = {p} needs {nbytes} bytes of int64 labels, "
-            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
-        )
+    require_bytes(nbytes, f"orbit counting at p = {p} needs {nbytes} bytes of int64 labels")
     kinds = sorted(set(kinds))
     unknown = set(kinds) - {"bitshift", "bitflip", "reverse"}
     if unknown:
@@ -297,11 +283,7 @@ def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
     # the output repeats its r distinct sites q times, and MPSState stores
     # each distinct site once
     nbytes = 16 * r * 2 * (q * d) ** 2
-    if nbytes > MAX_DENSE_BYTES:
-        raise TooLargeError(
-            f"the site-independent chain of bond dimension {q * d} needs {nbytes} bytes, "
-            f"over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes"
-        )
+    require_bytes(nbytes, f"the site-independent chain of bond dimension {q * d} needs {nbytes} bytes")
     x = to_vector(m)
     if np.linalg.norm(x - x[shift_perm(p, r)]) > EPS_SYM * np.linalg.norm(x):
         raise SymmetryMismatchError(
@@ -341,6 +323,22 @@ def ti_normal_form(a0, a1) -> tuple[np.ndarray, np.ndarray]:
     else:
         q, nf0 = schur(m0)
     return nf0, q @ m1 @ dagger(q)
+
+
+def ti_chain_normal_form(m: MPSState) -> MPSState:
+    """The periodic chain of ``m``'s site pair in ``ti_normal_form``.
+
+    ``m`` must be site-independent: its bitshift relation residual may not
+    exceed EPS_SYM times its sites' scale, the test ``bitflip_normal_form``
+    applies to its witness relations.
+    """
+    rep = verify_relation(m, SymmetryWitness(kind="bitshift"))
+    if rep.max_residual > EPS_SYM * _state_scale(m):
+        raise SymmetryMismatchError(
+            f"ti normal form needs a site-independent chain (site residual {rep.max_residual:.2e})"
+        )
+    nf0, nf1 = ti_normal_form(*m.sites[0])
+    return MPSState([(nf0, nf1)] * m.p, boundary="periodic")
 
 
 # ------------------------------------------------------------------- reverse

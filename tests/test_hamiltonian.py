@@ -78,6 +78,12 @@ def test_model_rejects_bad_input():
         model("ising_zz", 3, {"lam": float("nan")})
 
 
+@pytest.mark.parametrize("p", [2.5, "3", True, 0])
+def test_model_rejects_bad_site_count(p):
+    with pytest.raises(BadParamsError, match="site count"):
+        model("ising_zz", p)
+
+
 def test_assemble_matches_dense_reference():
     rng = np.random.default_rng(11)
     for name in MODEL_NAMES:

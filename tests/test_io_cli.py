@@ -399,11 +399,11 @@ def test_codec_keeps_no_copy_of_a_chain_of_distinct_sites(tmp_path, rng):
 def test_write_mps_guards_every_site_of_a_shared_core(tmp_path, monkeypatch):
     # one 2 x 4 x 4 core shared by p sites: the file holds 16 * 2 * 16 * p bytes
     m = MPSState([np.ones((2, 4, 4))] * 3, boundary="periodic")
-    monkeypatch.setattr(fileio, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3 - 1)
+    monkeypatch.setattr(symtt.linalg, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3 - 1)
     with pytest.raises(TooLargeError, match=r"the 3 sites of the chain hold 1536 bytes.*MAX_DENSE_BYTES"):
         write_mps(tmp_path / "big.mps", m)
     assert not (tmp_path / "big.mps").exists()
-    monkeypatch.setattr(fileio, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3)
+    monkeypatch.setattr(symtt.linalg, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3)
     write_mps(tmp_path / "big.mps", m)
     assert _exact(read_mps(tmp_path / "big.mps")) == _exact(m)
 
@@ -802,6 +802,18 @@ def test_cli_sym_normal_form_bitflip_and_ti(tmp_path, capsys, rng):
     back = read_mps(ti_nf)
     assert np.linalg.norm(to_vector(back) - to_vector(ti)) < 1e-11 * np.linalg.norm(to_vector(ti))
     assert np.linalg.norm(np.tril(back.sites[0][0], -1)) < 1e-12
+
+
+def test_cli_ti_normal_form_refuses_distinct_tiny_sites(tmp_path, capsys, rng):
+    # four different sites of norm ~1e-12: their absolute differences are
+    # below EPS_SYM, but relative to the sites they are of order one
+    chain = MPSState([1e-12 * random_complex(rng, 2, 3, 3) for _ in range(4)], boundary="periodic")
+    src = tmp_path / "c.mps"
+    write_mps(src, chain)
+    out = tmp_path / "c_nf.mps"
+    assert run_cli("sym", "normal-form", "--kind", "ti", "--mps", str(src), "--out", str(out)) == 1
+    assert "site-independent chain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_struct_split_circulant(tmp_path, capsys, rng):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from symtt import EPS_LIN, eigh, exchange_matrix, fourier_matrix, kron, schur, svd
-from symtt.errors import NotHermitianError
+from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, schur, svd, ti_construct, to_vector
+from symtt import linalg
+from symtt.errors import NotHermitianError, TooLargeError
+from symtt.fileio import write_mps
 from symtt.hamiltonian import pauli
-from symtt.linalg import dagger, frob, rank_from_sigma, split
+from symtt.linalg import dagger, frob, rank_from_sigma, require_bytes, split
 
 from conftest import random_complex, random_hermitian
 
@@ -184,3 +186,33 @@ def test_reconstruction_sweep(rng):
         sq = random_complex(rng, n, n)
         q, t = schur(sq)
         assert frob(dagger(q) @ t @ q - sq) <= EPS_LIN * frob(sq) * 10
+
+
+def test_require_bytes_names_the_allocation():
+    require_bytes(2**30, "a buffer of 1073741824 bytes")
+    with pytest.raises(TooLargeError) as exc:
+        require_bytes(2**30 + 1, "a buffer of 1073741825 bytes")
+    assert str(exc.value) == "a buffer of 1073741825 bytes, over the MAX_DENSE_BYTES guard of 1073741824 bytes"
+
+
+_ONES = MPSState([np.ones((2, 1, 1))] * 2, boundary="open")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp: assemble(model("hx", 2)),
+        lambda tmp: to_vector(_ONES),
+        lambda tmp: orbits("10"),
+        lambda tmp: dof_count(2, ["bitflip"]),
+        lambda tmp: ti_construct(from_vector(np.ones(4))),
+        lambda tmp: write_mps(tmp / "m.mps", _ONES),
+    ],
+    ids=["assemble", "to_vector", "orbits", "dof_count", "ti_construct", "write_mps"],
+)
+def test_every_size_guard_reads_max_dense_bytes(call, tmp_path, monkeypatch):
+    # each guard passes at the default limit and trips below its allocation
+    call(tmp_path)
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 3)
+    with pytest.raises(TooLargeError, match="over the MAX_DENSE_BYTES guard of 3 bytes$"):
+        call(tmp_path)

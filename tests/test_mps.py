@@ -164,6 +164,16 @@ def test_to_vector_guards_its_accumulator():
         to_vector(MPSState([site] * 14, boundary="periodic"))
 
 
+def test_to_vector_caps_its_components():
+    # a bond-1 chain needs only 2^p output bytes, but the output and the
+    # 2^p work callers build on it stay capped at MAX_VECTOR_DIM components
+    e0 = [(np.array([[1.0]]), np.array([[0.0]]))]
+    x = to_vector(MPSState(e0 * 20, boundary="open"))
+    assert x.shape == (2**20,) and x[0] == 1 and np.count_nonzero(x) == 1
+    with pytest.raises(TooLargeError, match=r"^dense evaluation of 2\^21 components exceeds the guard$"):
+        to_vector(MPSState(e0 * 21, boundary="open"))
+
+
 def test_to_vector_matches_eval(rng):
     m = random_mps(rng, 4, 3, boundary="periodic")
     x = to_vector(m)

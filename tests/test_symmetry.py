@@ -32,8 +32,8 @@ from symtt import (
 from symtt.errors import BadParamsError, NotDiagonalizableError, SymmetryMismatchError, TooLargeError
 from symtt.hamiltonian import TABLE_MODELS, ground_state, model
 from symtt.linalg import dagger, exchange_matrix, frob
-from symtt import symmetry
-from symtt.symmetry import EPS_SYM, bit_reversed, heuristic_bitflip_witness, shifted
+from symtt import linalg, symmetry
+from symtt.symmetry import EPS_SYM, bit_reversed, heuristic_bitflip_witness, shifted, ti_chain_normal_form
 
 from conftest import group_orbit_count, random_complex, random_hermitian
 
@@ -116,7 +116,7 @@ def test_orbit_closure():
 
 def test_orbits_guard(monkeypatch):
     # the shift orbit of p bits holds up to p rotations of p characters
-    monkeypatch.setattr(symmetry, "MAX_DENSE_BYTES", 100)
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 100)
     assert len(orbits("1" + "0" * 9).shift_orbit) == 10
     with pytest.raises(TooLargeError, match=r"11 bits holds up to 121 bytes.*MAX_DENSE_BYTES guard of 100 bytes"):
         orbits("1" + "0" * 10)
@@ -282,6 +282,21 @@ def test_ti_normal_form_preserves_vector(rng):
     assert np.max(np.abs(np.diag(nf0).imag)) < 1e-12
     assert frob(nf0 - np.diag(np.diag(nf0))) < 1e-12
     assert frob(nf1 - dagger(nf1)) < 1e-12
+
+
+def test_ti_chain_normal_form_checks_site_independence_relative_to_scale(rng):
+    # a shared pair: the residual is exactly 0 and the vector is kept
+    pair = (1e-12 * random_hermitian(rng, 3), 1e-12 * random_complex(rng, 3, 3))
+    chain = MPSState([pair] * 4, boundary="periodic")
+    out = ti_chain_normal_form(chain)
+    x = to_vector(chain)
+    assert out.boundary == "periodic" and out.p == 4
+    assert np.linalg.norm(to_vector(out) - x) < 1e-10 * np.linalg.norm(x)
+    # four different sites of norm ~1e-12 differ by less than EPS_SYM in
+    # absolute terms, but by order one relative to the sites
+    tiny = MPSState([1e-12 * random_complex(rng, 2, 3, 3) for _ in range(4)], boundary="periodic")
+    with pytest.raises(SymmetryMismatchError, match="site-independent chain"):
+        ti_chain_normal_form(tiny)
 
 
 # ------------------------------------------------------------------- reverse
