@@ -16,6 +16,12 @@ Kronecker fold would, and each one multiplies by a whole factor as
 sparse the factor is: the entries are bit-identical to the fold for any
 factors.  A guard of ``MAX_DENSE_BYTES`` bounds the one dense allocation.
 
+Every table model and both spin-1 models (each Y meets another Y) have
+exactly real term values.  ``certify_structure`` and ``ground_state``
+assemble those as float64, the real part of ``assemble``'s matrix, and never
+copy them to complex128; their guard is 8 n^2 bytes, or 16 n^2 for a complex
+model.  ``assemble`` (``ham build``, ``ham spectrum``) returns complex128.
+
 ``ground_state`` (and the CLI's ``ham spectrum``) use the paper's split where
 it is exact.  The exchange J reverses the basis order, which for spin-1/2 is
 the global spin flip X^{(x)p}.  An assembled h that is exactly real
@@ -268,18 +274,33 @@ def _term_nonzeros(factors, ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def assemble(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense d^p x d^p matrix of the term sum, added up from each term's
-    nonzeros."""
+    """Dense d^p x d^p complex128 matrix of the term sum, added up from each
+    term's nonzeros."""
+    return _assemble(spec, real=False)
+
+
+def _assemble(spec: HamiltonianSpec, real: bool) -> np.ndarray:
+    """``assemble``, but with ``real`` a float64 matrix, the real part of
+    ``assemble``'s bit for bit, as long as every term's values are exactly
+    real; the first complex term starts the assembly over in complex128.
+
+    The guard counts 8 bytes per entry with ``real`` and 16 without.
+    """
     dim = spec.d**spec.p
-    nbytes = 16 * dim * dim
+    nbytes = (8 if real else 16) * dim * dim
     require_bytes(nbytes, f"dense assembly of dimension {dim} needs {nbytes} bytes")
     ident = np.eye(spec.d, dtype=np.complex128)
-    h = np.zeros((dim, dim), dtype=np.complex128)
+    h = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     for term in spec.terms:
         rows, cols, vals = _term_nonzeros(term.factors, ident)
+        vals = term.coeff * vals
+        if real and vals.imag.any():
+            del h  # freed before the complex128 matrix is allocated
+            return _assemble(spec, real=False)
         # the (row, col) pairs of one Kronecker product are distinct, so the
-        # buffered fancy-index add is exact
-        h[rows, cols] += term.coeff * vals
+        # buffered fancy-index add is exact; its real part is the same add
+        # on the real parts
+        h[rows, cols] += vals.real if real else vals
     return h
 
 
@@ -351,8 +372,9 @@ def fourier_conjugate(h, p: int) -> np.ndarray:
 
 
 def certify_structure(spec: HamiltonianSpec, tol: float = EPS_STRUCT) -> StructureFlags:
-    """Classify the assembled matrix of the model."""
-    return classify(assemble(spec), tol=tol)
+    """Classify the assembled matrix of the model (float64 when exactly real,
+    see the module docstring)."""
+    return classify(_assemble(spec, real=True), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -381,7 +403,9 @@ def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray |
     gave it.  Without ``lowest`` no eigenvectors are computed.
     """
     n = h.shape[0]
-    split = n % 2 == 0 and not h.imag.any() and np.array_equal(h, h.T) and np.array_equal(h, h[::-1, ::-1])
+    # a float64 h's .imag would be n^2 fresh zeros
+    real = not (np.iscomplexobj(h) and h.imag.any())
+    split = n % 2 == 0 and real and np.array_equal(h, h.T) and np.array_equal(h, h[::-1, ::-1])
     blocks = _half_blocks(h.real) if split else (h,)
     sizes = tuple(len(b) for b in blocks)
     if not lowest:
@@ -409,10 +433,14 @@ def ground_state(spec: HamiltonianSpec) -> SpectrumReport:
     dim = spec.d**spec.p
     if dim > MAX_EIG_DIM:
         raise TooLargeError(f"full eigendecomposition of dimension {dim} exceeds the {MAX_EIG_DIM} guard")
-    h = assemble(spec)
+    h = _assemble(spec, real=True)
     values, vec, sizes = _solve(h)
     gap = float(values[1] - values[0]) if len(values) > 1 else 0.0
-    residual = frob(h @ vec - values[0] * vec)
+    # h @ vec would copy a float64 h to complex128; row blocks give the same
+    # bits unless one is a lone row of several (numpy's plain dot), which an
+    # even split into ~32-row blocks never makes
+    hv = np.concatenate([b.astype(np.complex128) @ vec for b in np.array_split(h, -(-dim // 32))])
+    residual = frob(hv - values[0] * vec)
     bound = max(EPS_LIN * frob(h) * 10, 1e-9)
     if not residual <= bound:  # also rejects a NaN residual
         raise ResidualError(f"ground eigenpair residual {residual:.3e} exceeds its bound {bound:.3e}")

@@ -1,19 +1,22 @@
 """Dense complex linear-algebra kernels shared by every other module.
 
 Matrices are plain ``numpy.ndarray`` objects of dtype complex128; vectors are
-1-D arrays.  The factorizations wrap LAPACK (via numpy/scipy) and add the
-conventions the rest of the package relies on:
+1-D arrays.  The one exception is a float64 matrix given to ``eigh`` or
+``structured.classify``: both keep it float64 (``_as_matrix``), so a real
+Hamiltonian never gets a complex128 n x n copy.  The factorizations wrap
+LAPACK (via numpy/scipy) and add the conventions the rest of the package
+relies on:
 
 * singular values descending, with the largest-magnitude entry of each left
   singular vector rotated to the real non-negative axis (reproducible factors),
 * Hermitian eigenvalues ascending, eigenvector phases fixed the same way,
 * strict Hermiticity checks before ``eigh``.
 
-``eigh`` runs an input whose imaginary part is exactly zero through real
-LAPACK, several times faster than the complex driver, and still returns
-complex128 vectors.  Only ``schur`` needs scipy, and it imports
-``scipy.linalg`` itself, so importing this package (and starting the CLI)
-never loads scipy.
+``eigh`` runs a float64 input, or a complex one whose imaginary part is
+exactly zero, through real LAPACK, several times faster than the complex
+routine, and still returns complex128 vectors.  Only ``schur`` needs scipy,
+and it imports ``scipy.linalg`` itself, so importing this package (and
+starting the CLI) never loads scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +40,14 @@ MAX_DENSE_BYTES = 2**30
 
 def as_cmatrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 array with finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    return _as_matrix(np.asarray(a, dtype=np.complex128))
+
+
+def _as_matrix(a) -> np.ndarray:
+    """A float64 ndarray as it is, anything else coerced to complex128; the
+    result must be a 2-D array with finite entries, as in ``as_cmatrix``."""
+    is_real = isinstance(a, np.ndarray) and a.dtype == np.float64
+    m = a if is_real else np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a matrix, got array of ndim {m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -167,18 +177,19 @@ def split(a, tol: float = 0.0, d_max: int | None = None) -> SvdResult:
 def eigh(a) -> EighResult:
     """Hermitian eigendecomposition, eigenvalues ascending.
 
-    An exactly real input is solved in real arithmetic; the vectors come back
-    as complex128 either way.  Raises NotHermitianError when
-    ||a - a^H||_F > EPS_LIN * ||a||_F.
+    A float64 input is solved as it is, and a complex one whose imaginary
+    part is exactly zero through its real part, both in real arithmetic; the
+    vectors come back as complex128 either way.  Raises NotHermitianError
+    when ||a - a^H||_F > EPS_LIN * ||a||_F.
     """
-    m = as_cmatrix(a)
+    m = _as_matrix(a)
     require_square(m)
     scale = frob(m)
     if frob(m - dagger(m)) > EPS_LIN * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian within {EPS_LIN:g} relative tolerance"
         )
-    if m.imag.any():
+    if np.iscomplexobj(m) and m.imag.any():
         w, v = np.linalg.eigh(m)
     else:
         w, v = np.linalg.eigh(m.real)

@@ -134,8 +134,9 @@ def eval_component(m: MPSState, bits) -> complex:
 def to_vector(m: MPSState) -> np.ndarray:
     """Dense vector of all 2^p components, index bit i_1 most significant.
 
-    Besides the 2^p output, ``_contract`` holds 2^(p-j+1) D_j x D_{p+1}
-    matrices after folding sites j..p; the largest of these accumulators
+    ``_contract`` holds 2^(p-j+1) D_j x D_{p+1} matrices after folding sites
+    j..p, and keeps the previous accumulator alive while it builds the next
+    (the last one beside the 2^p output), so twice the largest accumulator
     must fit in MAX_DENSE_BYTES.  The output itself is capped at
     MAX_VECTOR_DIM components.
     """
@@ -143,7 +144,7 @@ def to_vector(m: MPSState) -> np.ndarray:
         raise TooLargeError(f"dense evaluation of 2^{m.p} components exceeds the guard")
     dims = m.dims
     nbytes = 16 * dims[-1] * max(2 ** (m.p - j) * dims[j] for j in range(m.p))
-    require_bytes(nbytes, f"contraction needs a {nbytes}-byte accumulator")
+    require_bytes(2 * nbytes, f"contraction needs {2 * nbytes} bytes for two {nbytes}-byte accumulators")
     return _contract(m.sites)
 
 

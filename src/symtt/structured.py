@@ -11,9 +11,11 @@ blocks B + JC and B - JC, ``_lift`` takes their eigenvectors back to full
 order, ``BlockPair.q`` is built when read, and circulant spectra are an FFT.
 
 ``classify`` decides every structure flag, and returns the residual behind
-each, in one pass over blocks of 32 rows.  Besides O(32 n) temporaries it
-allocates only a float64 copy of an n x n input whose imaginary part is
-exactly zero.  The symmetry and omega-circulant checks of the transforms use
+each, in one pass over blocks of 32 rows.  A float64 input stays float64
+(a real Hamiltonian is assembled that way), and a complex one whose
+imaginary part is exactly zero is checked through a float64 copy; the
+results are the same either way.  Besides that copy the pass needs O(32 n)
+temporaries.  The symmetry and omega-circulant checks of the transforms use
 the same pass.
 """
 
@@ -34,6 +36,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import (
+    _as_matrix,
     as_cmatrix,
     as_cvector,
     eigh,
@@ -140,8 +143,9 @@ def _residual_norms(m: np.ndarray, names, omega=None) -> dict[str, float]:
     omega-circulant of its first row).  One pass over blocks of
     ``_BLOCK_ROWS`` rows adds up every squared residual; its only gather is a
     contiguous copy of the block's columns, and the flipped, Toeplitz and
-    circulant rows are views.  Extra memory is O(_BLOCK_ROWS * n), plus one
-    float64 copy of ``m`` when its imaginary part is exactly zero.
+    circulant rows are views.  Extra memory is O(_BLOCK_ROWS * n); a float64
+    ``m`` is read as it is, and a complex128 one whose imaginary part is
+    exactly zero through a float64 copy, so both give the same norms.
     """
     if np.iscomplexobj(m) and not m.imag.any():
         m = m.real.copy()
@@ -184,7 +188,8 @@ def _estimate_omega(a: np.ndarray, thresh: float) -> complex | None:
     k = int(np.argmax(mags)) + 1
     if mags[k - 1] <= thresh:
         return None
-    return a[k, 0] / wrapped[k - 1]
+    # a complex division, also for float64 ``a``: it rounds unlike a / b
+    return np.complex128(a[k, 0]) / wrapped[k - 1]
 
 
 def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
@@ -193,10 +198,10 @@ def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
     A flag holds when the Frobenius norm of its residual is at most
     ``tol * ||a||_F``; all residuals come from one pass over the rows (see
     ``_residual_norms``).  Non-square input yields all-false flags rather
-    than an error.
+    than an error.  A float64 ``a`` is not copied to complex128.
     """
     require_tol(tol)
-    m = as_cmatrix(a)
+    m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         return StructureFlags()
     thresh = tol * frob(m)

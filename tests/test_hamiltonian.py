@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +19,9 @@ from symtt import (
     pauli,
     spin1,
 )
+from symtt import linalg
 from symtt.errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _solve
+from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _assemble, _solve
 from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob, kron_chain
 
 from conftest import dense_reference, random_complex
@@ -338,6 +341,83 @@ def test_table_models_structure(rng):
             assert np.max(np.abs(h.imag)) < 1e-12
             flags = classify(h)
             assert flags.symmetric and flags.persymmetric
+
+
+@st.composite
+def real_model_specs(draw):
+    """Table models with random couplings at p <= 7 and the spin-1 models at
+    p <= 4, both boundaries: every one has exactly real term values."""
+    name = draw(st.sampled_from(TABLE_MODELS + ("aklt", "bilinear_biquadratic")))
+    p = draw(st.integers(1, 4 if name in ("aklt", "bilinear_biquadratic") else 7))
+    coupling = st.floats(-2.0, 2.0, allow_nan=False)
+    params = {key: draw(coupling) for key in ("jx", "jy", "jz", "lam", "theta")}
+    return model(name, p, params, draw(st.sampled_from(("open", "periodic"))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_model_specs())
+def test_real_assembly_matches_complex_property(spec):
+    """The float64 path assembles the real part of ``assemble`` bit for bit,
+    and classify and eigh give the same results on it as on the complex
+    matrix."""
+    hc = assemble(spec)
+    hr = _assemble(spec, real=True)
+    assert hc.dtype == np.complex128 and hr.dtype == np.float64
+    assert hr.tobytes() == hc.real.tobytes()
+    fr, fc = classify(hr), classify(hc)
+    assert fr == fc and fr.omega == fc.omega and fr.residuals == fc.residuals
+    er, ec = eigh(hr), eigh(hc)
+    assert er.values.tobytes() == ec.values.tobytes()
+    assert er.vectors.dtype == np.complex128 and er.vectors.tobytes() == ec.vectors.tobytes()
+    hy = model("hy", spec.p, boundary=spec.boundary)
+    assert _assemble(hy, real=True).tobytes() == assemble(hy).tobytes()
+
+
+def test_real_assembly_guard_counts_eight_bytes_per_entry(monkeypatch):
+    # p = 4: 256 entries are 2048 bytes in float64 and 4096 in complex128
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2048)
+    assert _assemble(model("hx", 4), real=True).dtype == np.float64
+    with pytest.raises(TooLargeError, match=r"^dense assembly of dimension 16 needs 4096 bytes, over"):
+        _assemble(model("hy", 4), real=True)
+    with pytest.raises(TooLargeError, match=r"^dense assembly of dimension 16 needs 4096 bytes, over"):
+        assemble(model("hx", 4))
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2047)
+    with pytest.raises(TooLargeError, match=r"^dense assembly of dimension 16 needs 2048 bytes, over"):
+        _assemble(model("hx", 4), real=True)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_structure_never_forms_a_complex_matrix():
+    """heis_xxz at p = 11 is checked in float64: the traced peak stays below
+    the 16 dim^2 bytes of one complex128 n x n array.  hy starts over in
+    complex128 without holding the float64 matrix too."""
+    spec = model("heis_xxz", 11, {"jx": 0.9, "jz": 1.3, "lam": 0.7}, "periodic")
+    flags, peak = _traced_peak(lambda: certify_structure(spec))
+    assert flags.symmetric and flags.persymmetric
+    assert peak < 16 * 4**11
+    h, peak = _traced_peak(lambda: _assemble(model("hy", 10), real=True))
+    assert h.dtype == np.complex128
+    assert peak < 1.25 * 16 * 4**10
+
+
+def test_ground_state_residual_matches_complex_matvec(rng):
+    # dimensions 33 and 65 leave one row over 32-row blocks, which numpy
+    # multiplies as a dot product with other rounding; the residual of the
+    # float64 path must still equal the complex h @ v one bit for bit
+    for d in (33, 65):
+        a = rng.standard_normal((d, d))
+        spec = HamiltonianSpec(p=1, d=d, boundary="open", terms=(LocalTermSpec(1.0, (a + a.T,)),))
+        rep = ground_state(spec)
+        h, v = assemble(spec), rep.ground_vector
+        assert rep.residual == frob(h @ v - rep.ground_energy * v)
 
 
 def test_ground_state_hx_p2():

@@ -32,7 +32,8 @@ from symtt import (
 from symtt.errors import GaugeViolationError, NotNormalizedError, ShapeMismatchError, TooLargeError, ZeroVectorError
 from symtt.fileio import read_mps, write_mps
 from symtt.linalg import dagger
-from symtt.mps import _tt_cores
+from symtt import linalg
+from symtt.mps import EPS_GAUGE, _tt_cores
 
 from conftest import brute_force_vector, random_complex, random_hermitian, random_mps, random_unit_vector
 
@@ -162,6 +163,17 @@ def test_to_vector_guards_its_accumulator():
     site = np.ones((2, 128, 128), dtype=complex)
     with pytest.raises(TooLargeError, match=r"4294967296-byte accumulator.*MAX_DENSE_BYTES"):
         to_vector(MPSState([site] * 14, boundary="periodic"))
+
+
+def test_to_vector_guards_two_accumulators(monkeypatch):
+    # a bond-1 p = 10 chain ends with one 16384-byte accumulator, but the
+    # fold holds it beside the one before it (or beside the output)
+    m = MPSState([(np.array([[1.0]]), np.array([[0.5]]))] * 10, boundary="open")
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2 * 16384)
+    assert to_vector(m).shape == (1024,)
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16384)
+    with pytest.raises(TooLargeError, match=r"^contraction needs 32768 bytes for two 16384-byte accumulators, over"):
+        to_vector(m)
 
 
 def test_to_vector_caps_its_components():
@@ -375,6 +387,27 @@ def test_sweep_random_pbc(rng):
         rep = check_gauge(m2)
         residuals = rep.left if direction == "left" else rep.right
         assert max(residuals[:-1]) < 1e-12  # all but the carrier at site p
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(), st.sampled_from(("left", "right")))
+def test_two_site_sweep_property(m, direction):
+    """A sweep keeps the contracted vector (to rounding, against the same
+    contraction over entrywise magnitudes) and gauges every site but the
+    carrier within EPS_GAUGE."""
+    x = to_vector(m)
+    scale = np.linalg.norm(to_vector(MPSState([abs(site) for site in m.sites], boundary=m.boundary)))
+    m2 = two_site_sweep(m, direction)
+    assert m2.boundary == m.boundary
+    assert np.linalg.norm(to_vector(m2) - x) <= 1e-10 * scale
+    rep = check_gauge(m2)
+    if direction == "left":
+        residuals = rep.left[:-1]
+    elif m.boundary == "open":
+        residuals = rep.right[1:]  # the carrier ends at site 1
+    else:
+        residuals = rep.right[:-1]
+    assert all(r <= EPS_GAUGE for r in residuals)
 
 
 def test_sweep_rank_one_product(rng):

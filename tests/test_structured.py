@@ -70,6 +70,17 @@ def test_classify_omega_circulant(rng):
     assert not flags.circulant and not flags.skew_circulant
 
 
+def test_classify_float64_matches_its_complex_copy(rng):
+    # a real omega-circulant with omega = 1 + 5e-9: not circulant at the
+    # default tol, so omega is estimated, and a float division would round
+    # it differently from the complex one in about a quarter of the rows
+    for _ in range(20):
+        m = omega_circulant(rng.standard_normal(6), 1 + 5e-9).real.copy()
+        fr, fc = classify(m), classify(m.astype(complex))
+        assert fr.omega is not None and not fr.circulant
+        assert fr == fc and fr.omega == fc.omega and fr.residuals == fc.residuals
+
+
 def test_classify_non_square_is_all_false():
     flags = classify(np.ones((2, 3)))
     assert not any([flags.symmetric, flags.persymmetric, flags.toeplitz, flags.diagonal])
