@@ -106,7 +106,7 @@ def _run_ham(args, rep: Report) -> None:
             flags = hamiltonian.certify_structure(_spec_from_args(args), tol=args.tol)
         _flags_report(rep, flags)
     elif args.verb == "spectrum":
-        h = hamiltonian.assemble(_spec_from_args(args))
+        h = hamiltonian._assemble(_spec_from_args(args), real=True)
         values, _, _ = hamiltonian._solve(h, lowest=False)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

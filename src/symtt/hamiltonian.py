@@ -17,18 +17,18 @@ sparse the factor is: the entries are bit-identical to the fold for any
 factors.  A guard of ``MAX_DENSE_BYTES`` bounds the one dense allocation.
 
 Every table model and both spin-1 models (each Y meets another Y) have
-exactly real term values.  ``certify_structure`` and ``ground_state``
-assemble those as float64, the real part of ``assemble``'s matrix, and never
-copy them to complex128; their guard is 8 n^2 bytes, or 16 n^2 for a complex
-model.  ``assemble`` (``ham build``, ``ham spectrum``) returns complex128.
+exactly real term values.  ``certify_structure``, ``ground_state`` and ``ham
+spectrum`` assemble those as float64, the real part of ``assemble``'s matrix,
+and never copy them to complex128; their guard is 8 n^2 bytes, or 16 n^2 for
+a complex model.  ``assemble`` (``ham build``) returns complex128.
 
 ``ground_state`` (and the CLI's ``ham spectrum``) use the paper's split where
 it is exact.  The exchange J reverses the basis order, which for spin-1/2 is
 the global spin flip X^{(x)p}.  An assembled h that is exactly real
 symmetric, of even order and equal to J h J entry for entry (every spin-1/2
 model but hy and hz) is diagonalized as its two half-size blocks B + JC and
-B - JC, in real arithmetic.  Spin-1 models (odd order 3^p), hy (complex) and
-hz (odd under the flip) take one full ``eigh``.
+B - JC, in real arithmetic.  Spin-1 models (odd order 3^p) and hz (odd
+under the flip) take one full real ``eigh``, hy (complex) a complex one.
 """
 
 from __future__ import annotations

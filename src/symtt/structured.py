@@ -13,10 +13,9 @@ order, ``BlockPair.q`` is built when read, and circulant spectra are an FFT.
 ``classify`` decides every structure flag, and returns the residual behind
 each, in one pass over blocks of 32 rows.  A float64 input stays float64
 (a real Hamiltonian is assembled that way), and a complex one whose
-imaginary part is exactly zero is checked through a float64 copy; the
-results are the same either way.  Besides that copy the pass needs O(32 n)
-temporaries.  The symmetry and omega-circulant checks of the transforms use
-the same pass.
+imaginary part is exactly zero is checked through its float64 view; the
+results are the same either way.  The pass needs O(32 n) temporaries.  The
+symmetry and omega-circulant checks of the transforms use the same pass.
 """
 
 from __future__ import annotations
@@ -145,10 +144,10 @@ def _residual_norms(m: np.ndarray, names, omega=None) -> dict[str, float]:
     contiguous copy of the block's columns, and the flipped, Toeplitz and
     circulant rows are views.  Extra memory is O(_BLOCK_ROWS * n); a float64
     ``m`` is read as it is, and a complex128 one whose imaginary part is
-    exactly zero through a float64 copy, so both give the same norms.
+    exactly zero through its float64 view, with the same norms.
     """
     if np.iscomplexobj(m) and not m.imag.any():
-        m = m.real.copy()
+        m = m.real
     n, r = m.shape[0], m[0]
     bands = {
         "toeplitz": _toeplitz_band(r, m[:, 0]),

@@ -40,6 +40,10 @@ EPS_SYM = 1e-10
 #: tracemalloc peak at p = 16 and 18, all three kinds, is 7.0 of them)
 _DOF_LABEL_ARRAYS = 7
 
+#: complex128 arrays of length 2^p that reverse_normal_form holds at once (its
+#: tracemalloc peak at p = 14 to 18, a real input's complex copy included, is 5.0)
+_REVERSE_NF_ARRAYS = 6
+
 SYMMETRY_KINDS = ("bitshift", "reverse", "bitflip", "fullbit", "firstsite", "lastsite")
 
 
@@ -415,57 +419,44 @@ class ReverseNormalForm:
 def reverse_normal_form(x) -> ReverseNormalForm:
     """Mirror-factored normal form of a reverse symmetric vector.
 
-    Starts from the swap-certified doubled representation, absorbs the
-    ascending half of the chain into stacked SVD factors (the descending half
-    is their conjugate mirror image), diagonalizes the Hermitian interior
-    into Sigma.  Lambda, the spectrum of the bond-1 witness, is [1].
+    With its last m = p // 2 bits read in reverse, x = conj(R x) is a
+    Hermitian 2^m x 2^m matrix C, or a Hermitian pair C_0, C_1 picked by the
+    middle bit at odd p.  Even p: C = W diag(Sigma) W^H by ``eigh``.  Odd p:
+    the thin SVD [C_0; C_1] = u diag(Sigma) vh gives W = vh^H and the
+    interior factor [vh u_0; vh u_1].  A left SVD sweep cuts the unitary W,
+    its rows (i_1 .. i_m), into the stacked factors U_1 .. U_m; Lambda is [1].
     """
     v = as_cvector(x)
     p = _check_pow2(v)
-    state, witness = reverse_construct(from_vector(v))
-    s_list = [np.asarray(s) for s in witness.matrices]
+    if not np.any(v):
+        raise ZeroVectorError("vector must be nonzero, of length 2^p with p >= 1")
+    nbytes = _REVERSE_NF_ARRAYS * 16 * 2**p
+    require_bytes(nbytes, f"the reverse normal form at p = {p} needs {nbytes} bytes")
+    if np.linalg.norm(v - np.conj(bit_reversed(v))) > EPS_SYM * np.linalg.norm(v):
+        raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
     m = p // 2
-    odd = bool(p % 2)
-
-    # from_vector gives an open chain, whose S_p reverse_construct sets to
-    # the 1 x 1 identity; so eigh(inv(S_p^H)) is always Lambda = [1], W = [[1]]
-    lam = np.ones(1)
-    us: list[np.ndarray] = []
-    carry = dagger(np.ones((1, 1), dtype=np.complex128))  # running left factor; starts as W^H
-    for j in range(m):
-        stacked = (carry @ state.sites[j]).reshape(-1, state.sites[j].shape[2])
-        u, s, vh = svd(stacked, full_matrices=True)
-        us.append(u)
-        sig = np.zeros(stacked.shape, dtype=np.complex128)
-        np.fill_diagonal(sig, s)
-        carry = sig @ vh
-
-    s_m = s_list[m - 1]  # S_m, or S_p = S_1 when p = 1
-    if not odd:
-        core = carry @ dagger(s_m) @ dagger(carry)
-        core = 0.5 * (core + dagger(core))
-        sig_w, xq = eigh(core)
-        sigma = sig_w.real
-        us[m - 1] = us[m - 1] @ xq
+    n = 2**m
+    cores = v.reshape(n, -1, n)[:, :, reverse_perm(m)].swapaxes(0, 1)
+    # C, or C_0 stacked over C_1, made exactly Hermitian
+    cores = (0.5 * (cores + dagger(cores))).reshape(-1, n)
+    if p % 2 == 0:
+        sigma, carry = eigh(cores)
+        interior = []
     else:
-        cores = [carry @ a @ dagger(s_m) @ dagger(carry) for a in state.sites[m]]
-        herm = max(frob(c - dagger(c)) for c in cores)
-        if herm > 1e-8 * max(max(frob(c) for c in cores), 1e-300):
-            raise SymmetryMismatchError(
-                f"interior factors fail the Hermitian consistency check ({herm:.2e})"
-            )
-        cores = [0.5 * (c + dagger(c)) for c in cores]
-        stacked = np.vstack(cores)
-        u, s, vh = svd(stacked)
-        sigma = s.real
-        n = cores[0].shape[0]
-        # absorb the right unitary: U_m picks up vh^H, the interior becomes
-        # [[vh, 0], [0, vh]] @ u, keeping orthonormal columns
-        interior = np.vstack([vh @ u[:n], vh @ u[n:]])
-        us.append(interior)
-        if m >= 1:
-            us[m - 1] = us[m - 1] @ dagger(vh)
-    return ReverseNormalForm(p=p, us=tuple(us), sigma=sigma, lam=lam)
+        u, sigma, vh = svd(cores)
+        carry = dagger(vh)
+        interior = [(vh @ u.reshape(2, n, n)).reshape(2 * n, n)]
+    del cores
+    # carry is what is left of W once U_1 .. U_j are split off its rows
+    us: list[np.ndarray] = []
+    for j in range(m):
+        # rows (bit, bond) with the bit slowest, as ReverseNormalForm.factor reads them
+        u = carry.reshape(2**j, 2, -1).swapaxes(0, 1).reshape(2 ** (j + 1), -1)
+        if j < m - 1:  # the last carry is absorbed: U_m is the unitary remainder
+            u, s, carry = svd(u)
+            carry *= s[:, None]
+        us.append(u)
+    return ReverseNormalForm(p=p, us=tuple(us + interior), sigma=sigma, lam=np.ones(1))
 
 
 # ------------------------------------------------------------------- bitflip

@@ -373,6 +373,20 @@ def test_real_assembly_matches_complex_property(spec):
     assert _assemble(hy, real=True).tobytes() == assemble(hy).tobytes()
 
 
+def test_classify_reads_a_real_complex_matrix_without_a_copy():
+    # an exactly real complex128 matrix is read through its float64 view: the
+    # pass stays below the 8 n^2 bytes of one float64 copy
+    h = assemble(model("heis_xxz", 10))
+    n = h.shape[0]
+    tracemalloc.start()
+    try:
+        classify(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+
+
 def test_real_assembly_guard_counts_eight_bytes_per_entry(monkeypatch):
     # p = 4: 256 entries are 2048 bytes in float64 and 4096 in complex128
     monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2048)
@@ -499,6 +513,10 @@ def test_ground_state_matches_dense_eigh(name):
                 assert rep.residual <= max(10 * EPS_LIN * frob(h), 1e-9)
                 values, no_vector, sizes = _solve(h, lowest=False)
                 assert no_vector is None and sizes == rep.sector_sizes
+                assert np.max(np.abs(values - want_w)) <= 1e-12 * scale
+                # the float64 assembly ham spectrum solves
+                values, _, sizes = _solve(_assemble(spec, real=True), lowest=False)
+                assert sizes == rep.sector_sizes
                 assert np.max(np.abs(values - want_w)) <= 1e-12 * scale
                 if dim > 1 and rep.gap > 1e-8:
                     assert abs(abs(np.vdot(want_v[:, 0], v)) - 1.0) <= 1e-10

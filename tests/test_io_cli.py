@@ -898,6 +898,7 @@ def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
         (("sym", "detect", "{dir}/ghz.vec", "--tol", "-1"), "tol .* got -1"),
         (("struct", "circulant-eig", "{dir}/eye.mat"), "1 x n or n x 1 first row, got shape \\(2, 2\\)"),
         (("sym", "dof", "--p", "25", "--kinds", "bitshift"), "1879048192 bytes of int64 labels"),
+        (("sym", "normal-form", "--kind", "reverse", "--vec", "{dir}/asym.vec"), "not reverse symmetric"),
     ],
 )
 def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):
@@ -911,6 +912,7 @@ def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):
     (tmp_path / "nan.vec").write_text("VEC1 1\n1 0\nnan 0\n")
     (tmp_path / "int.mat").write_text("MAT1 x 2\n0 0\n0 0\n")
     (tmp_path / "big.vec").write_text("VEC1 40\n0 0\n")
+    write_vec(tmp_path / "asym.vec", np.array([1.0, 2.0, 3.0, 4.0]))
     assert run_cli(*(a.format(dir=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

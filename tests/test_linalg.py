@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, schur, svd, ti_construct, to_vector
+from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, reverse_normal_form, schur, svd, ti_construct, to_vector
 from symtt import linalg
 from symtt.errors import NotHermitianError, TooLargeError
 from symtt.fileio import write_mps
@@ -207,8 +207,9 @@ _ONES = MPSState([np.ones((2, 1, 1))] * 2, boundary="open")
         lambda tmp: dof_count(2, ["bitflip"]),
         lambda tmp: ti_construct(from_vector(np.ones(4))),
         lambda tmp: write_mps(tmp / "m.mps", _ONES),
+        lambda tmp: reverse_normal_form(np.ones(4)),
     ],
-    ids=["assemble", "to_vector", "orbits", "dof_count", "ti_construct", "write_mps"],
+    ids=["assemble", "to_vector", "orbits", "dof_count", "ti_construct", "write_mps", "reverse_normal_form"],
 )
 def test_every_size_guard_reads_max_dense_bytes(call, tmp_path, monkeypatch):
     # each guard passes at the default limit and trips below its allocation

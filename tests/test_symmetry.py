@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtt import (
     MPSState,
@@ -29,7 +31,7 @@ from symtt import (
     to_vector,
     verify_relation,
 )
-from symtt.errors import BadParamsError, NotDiagonalizableError, SymmetryMismatchError, TooLargeError
+from symtt.errors import BadParamsError, NotDiagonalizableError, ShapeMismatchError, SymmetryMismatchError, TooLargeError, ZeroVectorError
 from symtt.hamiltonian import TABLE_MODELS, ground_state, model
 from symtt.linalg import dagger, exchange_matrix, frob
 from symtt import linalg, symmetry
@@ -400,6 +402,65 @@ def test_reverse_normal_form_vector_matches_formula(rng):
         want = reverse_formula_vector(nf)
         assert nf.state().p == p
         assert np.linalg.norm(nf.to_vector() - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_reverse_normal_form_refusals(rng):
+    with pytest.raises(SymmetryMismatchError, match=r"^vector is not reverse symmetric \(within EPS_SYM\)$"):
+        reverse_normal_form(rand_vec(rng, 4))
+    with pytest.raises(ZeroVectorError, match=r"^vector must be nonzero, of length 2\^p with p >= 1$"):
+        reverse_normal_form(np.zeros(8))
+    with pytest.raises(ShapeMismatchError):
+        reverse_normal_form(np.ones(3))
+
+
+def test_reverse_normal_form_accepts_symmetry_within_eps_sym(rng):
+    # a reverse residual of 1e-11 relative passes EPS_SYM but not eigh's own
+    # 1e-12 Hermiticity check, so the half-split matrix must be made Hermitian
+    for p in (6, 7):
+        x = symmetrize_reverse(rand_vec(rng, p))
+        noise = rand_vec(rng, p)
+        x = x + 1e-11 * np.linalg.norm(x) / np.linalg.norm(noise) * noise
+        assert 0.5e-11 * np.linalg.norm(x) < np.linalg.norm(x - np.conj(bit_reversed(x))) <= EPS_SYM * np.linalg.norm(x)
+        nf = reverse_normal_form(x)
+        assert np.linalg.norm(nf.to_vector() - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reverse_normal_form_property(p, real, seed):
+    """Reconstruction, square unitary site factors, and |Sigma| equal to the
+    singular values of the half-chain split of x."""
+    rng = np.random.default_rng(seed)
+    x = symmetrize_reverse(rand_vec(rng, p))
+    if real:
+        x = x.real.copy()
+    scale = np.linalg.norm(x)
+    nf = reverse_normal_form(x)
+    assert np.linalg.norm(nf.to_vector() - x) <= 1e-12 * scale
+    m = p // 2
+    assert len(nf.us) == m + p % 2
+    for j, u in enumerate(nf.us):
+        if j < m:
+            assert u.shape == (2 ** (j + 1), 2 ** (j + 1))
+        assert frob(dagger(u) @ u - np.eye(u.shape[1])) <= 1e-12
+    want = np.linalg.svd(x.reshape(2**m, -1), compute_uv=False)
+    got = np.sort(np.abs(nf.sigma))[::-1]
+    padded = np.zeros(len(got))
+    padded[: len(want)] = want
+    assert np.max(np.abs(got - padded)) <= 1e-12 * scale
+
+
+def test_reverse_normal_form_peak_is_within_its_guard(rng):
+    # a real input, whose complex copy the path also holds, at even and odd p
+    for p in (14, 15):
+        x = symmetrize_reverse(rand_vec(rng, p)).real.copy()
+        tracemalloc.start()
+        try:
+            reverse_normal_form(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= symmetry._REVERSE_NF_ARRAYS * 16 * 2**p
 
 
 # ------------------------------------------------------------------- bitflip
