@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import importlib.util
 import os
 import sys
 
@@ -30,10 +30,31 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from . import fileio, hamiltonian, mps, structured, symmetry
+from ._constants import EPS_STRUCT, EPS_SYM, MODEL_NAMES, SYMMETRY_KINDS
 from .errors import ShapeMismatchError, SymttError
-from .linalg import frob
-from .symmetry import SymmetryWitness
+
+
+def _lazy(name: str):
+    """The library module ``symtt.<name>``, unless it is imported already:
+    registered in ``sys.modules`` and on the package as an import would, but
+    executed on its first attribute use."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# a command executes only the modules its verb uses; an import statement
+# would execute the module it names, so the modules are bound from here
+linalg, structured, hamiltonian, mps, symmetry, fileio = map(
+    _lazy, ("linalg", "structured", "hamiltonian", "mps", "symmetry", "fileio")
+)
 
 
 def _g17(value: float) -> str:
@@ -51,6 +72,8 @@ class Report:
 
     def emit(self, as_json: bool) -> None:
         if as_json:
+            import json  # only --json needs it
+
             print(json.dumps(dict(self.items), default=str))
             return
         for key, value in self.items:
@@ -73,7 +96,7 @@ def _spec_from_args(args) -> hamiltonian.HamiltonianSpec:
 
 
 def _add_model_args(sub, required: bool) -> None:
-    sub.add_argument("--model", required=required, choices=hamiltonian.MODEL_NAMES)
+    sub.add_argument("--model", required=required, choices=MODEL_NAMES)
     sub.add_argument("--p", type=int, required=required)
     sub.add_argument("--jx", type=float)
     sub.add_argument("--jy", type=float)
@@ -222,11 +245,11 @@ def _run_sym_construct(args, rep: Report) -> None:
         # refuse a chain too large to write before building it
         fileio._require_writable(args.out, args.p, args.p * 2 * m.size)
         state = symmetry.fullbit_state(m, args.p)
-        witness = SymmetryWitness(kind="fullbit")
+        witness = symmetry.SymmetryWitness(kind="fullbit")
     elif kind in ("firstsite", "lastsite"):
         build = symmetry.firstsite_construct if kind == "firstsite" else symmetry.lastsite_construct
         state = build(fileio.read_vec(args.vec), sign=args.sign)
-        witness = SymmetryWitness(kind=kind, sign=args.sign)
+        witness = symmetry.SymmetryWitness(kind=kind, sign=args.sign)
     else:
         base = mps.from_vector(fileio.read_vec(args.vec))
         if kind == "bitshift":
@@ -234,7 +257,7 @@ def _run_sym_construct(args, rep: Report) -> None:
             q, d = symmetry.ti_shape(base, args.block_len)
             fileio._require_writable(args.out, base.p, base.p * 2 * (q * d) ** 2)
             state = symmetry.ti_construct(base, block_len=args.block_len)
-            witness = SymmetryWitness(kind="bitshift", block_len=args.block_len)
+            witness = symmetry.SymmetryWitness(kind="bitshift", block_len=args.block_len)
         elif kind == "reverse":
             state, witness = symmetry.reverse_construct(base)
         else:  # bitflip
@@ -251,11 +274,13 @@ def _run_sym_normal_form(args, rep: Report) -> None:
     kind = args.kind
     if kind == "reverse":
         x = fileio.read_vec(args.vec)
+        # refuse a reconstruction too large to evaluate before building the form
+        mps._require_components(len(x).bit_length() - 1)
         nf = symmetry.reverse_normal_form(x)
         err = float(np.linalg.norm(nf.to_vector() - x))
         rep.add("reconstruction_error", err)
         for j, u in enumerate(nf.us, start=1):
-            rep.add(f"unitarity_{j}", frob(u.conj().T @ u - np.eye(u.shape[1])))
+            rep.add(f"unitarity_{j}", linalg.frob(u.conj().T @ u - np.eye(u.shape[1])))
         rep.add("sigma", ",".join(_g17(v) for v in nf.sigma))
         rep.add("lambda", ",".join(_g17(v) for v in nf.lam))
     elif kind == "bitflip":
@@ -323,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ham.add_parser("certify")
     sub.add_argument("matrix", nargs="?", help="MAT1 file; omit to certify a model")
     _add_model_args(sub, required=False)
-    sub.add_argument("--tol", type=float, default=structured.EPS_STRUCT)
+    sub.add_argument("--tol", type=float, default=EPS_STRUCT)
     sub = ham.add_parser("spectrum")
     _add_model_args(sub, required=True)
     sub.add_argument("--out")
@@ -358,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     symg = groups.add_parser("sym", help="symmetry detection and constructions").add_subparsers(dest="verb", required=True)
     sub = symg.add_parser("detect")
     sub.add_argument("vec")
-    sub.add_argument("--tol", type=float, default=symmetry.EPS_SYM)
+    sub.add_argument("--tol", type=float, default=EPS_SYM)
     sub = symg.add_parser("construct")
-    sub.add_argument("--kind", choices=symmetry.SYMMETRY_KINDS, required=True)
+    sub.add_argument("--kind", choices=SYMMETRY_KINDS, required=True)
     sub.add_argument("--vec", help="VEC1 input (all kinds except fullbit)")
     sub.add_argument("--mat", help="MAT1 input (fullbit)")
     sub.add_argument("--p", type=int, help="site count (fullbit)")
@@ -389,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     structg = groups.add_parser("struct", help="structured-matrix transforms").add_subparsers(dest="verb", required=True)
     sub = structg.add_parser("classify")
     sub.add_argument("mat")
-    sub.add_argument("--tol", type=float, default=structured.EPS_STRUCT)
+    sub.add_argument("--tol", type=float, default=EPS_STRUCT)
     sub = structg.add_parser("split")
     sub.add_argument("mat")
     sub.add_argument("--out-p", dest="out_p", required=True)

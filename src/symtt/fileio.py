@@ -15,6 +15,10 @@ it recurs (``write_mps`` passes a shared core as the same two matrices), and
 the reader parses each distinct body text once and returns the same
 read-only array where it recurs, so a site-independent chain costs one site
 both ways.  Equal bodies in separate arrays are formatted each time.
+
+A read holds the file's bytes once, the arrays it returns and O(_WINDOW)
+bytes of scratch: line ends are found a window at a time, and each body is
+parsed in place from the bytes, with no copy of its text.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import mps, symmetry
 from .errors import FormatError, SymttError
 from .linalg import as_cmatrix, as_cvector, require_bytes
-from .mps import MPSState
-from .symmetry import SymmetryWitness
 
 #: entries formatted per step, which bounds the temporaries of a large body
 _FORMAT_CHUNK = 2**14
+#: bytes searched for line ends per step, which bounds the reader's scratch
+_WINDOW = 2**16
 #: ASCII whitespace other than " " and "\n": a file holding any of it is
 #: read through ``str.splitlines``
 _ODD_SPACE = (b"\t", b"\v", b"\f", b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -66,73 +71,77 @@ def _write(path, parts) -> None:
                 f.write(texts[id(part)])
 
 
-def _line_ends(raw: bytes) -> np.ndarray:
-    """Offset of the end of every line of ``raw``: each "\\n", and the end of
-    a last line that has none."""
-    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    return np.append(ends, len(raw)) if raw and not raw.endswith(b"\n") else ends
-
-
-def _plain(raw: bytes, ends: np.ndarray) -> bool:
+def _plain(raw: bytes) -> bool:
     """True if ``raw`` is ASCII, its only line break is "\\n", its only other
     whitespace is " ", and no line is empty or starts with " ": then every
-    line is non-blank, and the lines between ``ends`` are what
+    line is non-blank, and the lines between its "\\n" are what
     ``str.splitlines`` gives."""
-    heads = np.frombuffer(raw, dtype=np.uint8)[ends[:-1] + 1]
-    return (
-        raw.isascii()
-        and not raw.startswith((b"\n", b" "))
-        and not any(c in raw for c in _ODD_SPACE)
-        and not np.isin(heads, (ord("\n"), ord(" "))).any()
-    )
+    if not raw.isascii() or raw.startswith((b"\n", b" ")) or any(c in raw for c in _ODD_SPACE):
+        return False
+    a = np.frombuffer(raw, dtype=np.uint8)
+    for lo in range(0, len(a), _WINDOW):
+        # each "\n" of the window against the byte after it (a substring
+        # test for b"\n\n" or b"\n " takes about 8x as long)
+        w = a[lo : lo + _WINDOW + 1]
+        after = w[1:]
+        if ((w[:-1] == ord("\n")) & ((after == ord("\n")) | (after == ord(" ")))).any():
+            return False
+    return True
 
 
 class _Reader:
     """The non-blank lines of one file, consumed front to back.
 
-    The lines are held as one bytes object, separated by single "\\n", and
-    found through the offsets of their ends; no list of line strings is
-    built.  A file that is not ``_plain`` (CR line ends, blank lines, other
-    whitespace, non-ASCII or undecodable bytes) is first rewritten into that
-    form from ``str.splitlines``, skipping blank lines.  Each distinct body
-    text is parsed once; where it recurs (same hash, then the same bytes at
-    the offsets kept for it), the same array is returned again, made
+    The lines are held as one bytes object, separated by single "\\n"; their
+    ends are found one ``_WINDOW`` of bytes at a time as the reader advances,
+    and only the current window's are kept.  A file that is not ``_plain``
+    (CR line ends, blank lines, other whitespace, non-ASCII or undecodable
+    bytes) is first rewritten into that form from ``str.splitlines``,
+    skipping blank lines.  Each body is parsed in place, and each distinct
+    body text once; where it recurs (same length and hash, then the same
+    bytes at the offset kept for it), the same array is returned again, made
     read-only.
     """
 
     def __init__(self, path):
         self.where = str(path)
         raw = Path(path).read_bytes()
-        ends = _line_ends(raw)
-        if not _plain(raw, ends):
+        if not _plain(raw):
             # undecodable bytes become U+FFFD, which no header or entry accepts
             text = raw.decode("utf-8", errors="replace")
             raw = "\n".join(filter(str.strip, text.splitlines())).encode("utf-8")
-            ends = _line_ends(raw)
-        self.raw, self.ends, self.pos = raw, ends, 0
-        self.parsed = {}  # (rows, cols, hash of the body) -> (start, stop, array)
+        self.raw, self.at = raw, 0  # at: offset of the next unread line
+        # the line ends found in raw[:self.hi] and not read yet, from ends[k] on
+        self.ends, self.k, self.hi = (), 0, 0
+        self.parsed = {}  # (rows, cols, length, hash of the body) -> (start, array)
 
     def error(self, message: str) -> FormatError:
         return FormatError(f"{self.where}: {message}")
 
-    def span(self, n: int) -> tuple[int, int]:
-        """Offsets of the next ``n`` lines, joined by "\\n"; the caller checks
-        ``left``."""
-        start = int(self.ends[self.pos - 1]) + 1 if self.pos else 0
-        self.pos += n
-        return start, int(self.ends[self.pos - 1])
-
-    def lines(self, n: int) -> bytes:
-        """The next ``n`` lines, joined by "\\n"; the caller checks ``left``."""
-        start, stop = self.span(n)
-        return self.raw[start:stop]
+    def span(self, n: int) -> tuple[int, int] | None:
+        """Offsets of the next ``n`` lines, joined by "\\n", or None if fewer
+        remain."""
+        raw, k = self.raw, self.k + n - 1  # k: the index in ends of the last line's end
+        while k >= len(self.ends):
+            if self.hi == len(raw):
+                return None
+            k -= len(self.ends)
+            lo, self.hi = self.hi, min(self.hi + _WINDOW, len(raw))
+            self.ends = np.flatnonzero(np.frombuffer(raw, np.uint8, self.hi - lo, lo) == ord("\n"))
+            self.ends += lo
+            if self.hi == len(raw) and not raw.endswith(b"\n"):
+                self.ends = np.append(self.ends, len(raw))
+        start, stop = self.at, int(self.ends[k])
+        self.k, self.at = k + 1, stop + 1
+        return start, stop
 
     def header(self, tag: str, count: int, usage: str) -> list[str]:
         """The tokens after ``tag`` on the next line, which must hold
         ``count`` tokens and start with the tokens of ``tag``."""
-        if not self.left():
+        span = self.span(1)
+        if span is None:
             raise self.error("unexpected end of file")
-        tokens = self.lines(1).decode("utf-8").split()
+        tokens = self.raw[span[0] : span[1]].decode("utf-8").split()
         lead = tag.split()
         if len(tokens) != count or tokens[: len(lead)] != lead:
             raise self.error(f"expected '{usage}', got {' '.join(tokens)!r}")
@@ -149,30 +158,37 @@ class _Reader:
         return value
 
     def left(self) -> int:
-        """Lines not read yet: an upper bound on the entries still to come."""
-        return len(self.ends) - self.pos
+        """Lines not read yet, counted for an error message."""
+        return self.raw.count(b"\n", self.at) + (self.at < len(self.raw) and not self.raw.endswith(b"\n"))
 
     def done(self) -> None:
         """Raise FormatError unless every non-blank line has been read."""
-        if self.left():
+        if self.at < len(self.raw):
             left = self.left()
-            first = self.lines(1).decode("utf-8").strip()
+            start, stop = self.span(1)
+            first = self.raw[start:stop].decode("utf-8").strip()
             raise self.error(f"{left} non-blank line(s) after the last body, the first {first!r}")
 
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        """The next rows*cols entry lines as a complex matrix, row major."""
+    def matrix(self, rows: int, cols: int, promised: str = "") -> np.ndarray:
+        """The next rows*cols entry lines as a complex matrix, row major;
+        ``promised`` is the entry count as the header states it, if not
+        rows*cols."""
         n = rows * cols
-        if n > self.left():
-            raise self.error(f"header promises {n} entries, but only {self.left()} lines remain")
-        start, stop = self.span(n)
-        body = self.raw[start:stop]
-        key = (rows, cols, hash(body))
+        span = self.span(n)
+        if span is None:
+            raise self.error(f"header promises {promised or n} entries, but only {self.left()} lines remain")
+        start, stop = span
+        body = memoryview(self.raw)[start:stop]
+        # a first body that ends the file can neither repeat nor recur: no hash
+        key = (rows, cols, len(body), hash(body)) if self.parsed or self.at < len(self.raw) else None
         hit = self.parsed.get(key)
-        if hit is not None and self.raw[hit[0] : hit[1]] == body:
-            hit[2].flags.writeable = False  # shared from now on
-            return hit[2]
+        if hit is not None and self.raw.startswith(body, hit[0]):
+            hit[1].flags.writeable = False  # shared from now on
+            return hit[1]
+        stream = io.BytesIO(self.raw)  # shares the bytes
+        stream.seek(start)
         try:
-            a = np.loadtxt(io.BytesIO(body), comments=None, ndmin=2, encoding="utf-8")
+            a = np.loadtxt(stream, comments=None, ndmin=2, encoding="utf-8", max_rows=n)
         except ValueError as exc:
             raise self.error(f"entry lines must be '<re> <im>': {exc}") from None
         if a.shape != (n, 2):
@@ -181,7 +197,7 @@ class _Reader:
             raise self.error("entries must be finite (no NaN/Inf)")
         # a view keeps the sign of an imaginary -0.0, which re + 1j*im would not
         m = a.view(np.complex128).reshape(rows, cols)
-        self.parsed[key] = (start, stop, m)
+        self.parsed[key] = (start, m)
         return m
 
 
@@ -210,10 +226,8 @@ def read_vec(path) -> np.ndarray:
     r = _Reader(path)
     (token,) = r.header("VEC1", 2, "VEC1 <p>")
     p = r.int(token, 0)
-    # compare exponents first so a huge p never builds 2**p
-    if p >= r.left().bit_length():
-        raise r.error(f"header promises 2^{p} entries, but only {r.left()} lines remain")
-    v = r.matrix(2**p, 1).reshape(-1)
+    # no file holds 2^64 lines: a larger p is refused as that, without 2**p
+    v = r.matrix(2 ** min(p, 64), 1, promised=f"2^{p}").reshape(-1)
     r.done()
     return v
 
@@ -228,7 +242,7 @@ def _require_writable(path, p: int, entries: int) -> None:
     require_bytes(nbytes, f"{path}: the {p} sites of the chain hold {nbytes} bytes of entries")
 
 
-def write_mps(path, m: MPSState) -> None:
+def write_mps(path, m: mps.MPSState) -> None:
     _require_writable(path, m.p, sum(core.size for core in m.sites))
     parts = [f"MPS1 {m.p} {m.boundary}", "DIMS " + " ".join(map(str, m.dims))]
     views = {}  # id of a core -> its two matrices, the same objects wherever the core recurs
@@ -238,7 +252,7 @@ def write_mps(path, m: MPSState) -> None:
     _write(path, parts)
 
 
-def read_mps(path) -> MPSState:
+def read_mps(path) -> mps.MPSState:
     r = _Reader(path)
     p, boundary = r.header("MPS1", 3, "MPS1 <p> <open|periodic>")
     p = r.int(p, 1)
@@ -257,12 +271,12 @@ def read_mps(path) -> MPSState:
         sites.append(pairs.setdefault((id(pair[0]), id(pair[1])), pair))
     r.done()
     try:
-        return MPSState(sites, boundary=boundary)
+        return mps.MPSState(sites, boundary=boundary)
     except SymttError as exc:
         raise r.error(str(exc)) from None
 
 
-def write_witness(path, w: SymmetryWitness) -> None:
+def write_witness(path, w: symmetry.SymmetryWitness) -> None:
     parts = [f"WITS {w.kind} {w.sign:+d} {w.block_len} {len(w.matrices or ())}"]
     for j, u in enumerate(w.matrices or (), start=1):
         m = as_cmatrix(u)
@@ -270,7 +284,7 @@ def write_witness(path, w: SymmetryWitness) -> None:
     _write(path, parts)
 
 
-def read_witness(path) -> SymmetryWitness:
+def read_witness(path) -> symmetry.SymmetryWitness:
     r = _Reader(path)
     kind, sign, block_len, count = r.header("WITS", 5, "WITS <kind> <sign> <block_len> <count>")
     sign, block_len, count = r.int(sign, -1), r.int(block_len, 1), r.int(count, 0)
@@ -281,6 +295,6 @@ def read_witness(path) -> SymmetryWitness:
         mats.append(r.matrix(rows, cols))
     r.done()
     try:
-        return SymmetryWitness(kind=kind, sign=sign, block_len=block_len, matrices=tuple(mats) or None)
+        return symmetry.SymmetryWitness(kind=kind, sign=sign, block_len=block_len, matrices=tuple(mats) or None)
     except SymttError as exc:
         raise r.error(str(exc)) from None

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._constants import _CHAIN_MODELS, MODEL_NAMES
 from .errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
 from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, frob, require_bytes, require_site_count
 from .structured import EPS_STRUCT, StructureFlags, _half_blocks, _lift, classify
@@ -60,30 +61,7 @@ _SPIN1 = {
     "i": np.eye(3, dtype=np.complex128),
 }
 
-#: spin-1/2 chain models: the (Pauli axis, coupling key) of each bond sum, in
-#: term order; every one of them ends with the x field of strength lam
-_CHAIN_MODELS = {
-    "ising_zz": (("z", "jz"),),
-    "heis_xx": (("x", "jx"), ("y", "jx")),
-    "heis_xy": (("x", "jx"), ("y", "jy")),
-    "heis_xz": (("x", "jx"), ("z", "jz")),
-    "heis_xxx": (("x", "jx"), ("y", "jx"), ("z", "jx")),
-    "heis_xxz": (("x", "jx"), ("y", "jx"), ("z", "jz")),
-    "heis_xyz": (("x", "jx"), ("y", "jy"), ("z", "jz")),
-}
-
 TABLE_MODELS = tuple(_CHAIN_MODELS)
-
-MODEL_NAMES = TABLE_MODELS + (
-    "hx",
-    "hy",
-    "hz",
-    "hxx",
-    "hyy",
-    "hzz",
-    "aklt",
-    "bilinear_biquadratic",
-)
 
 
 def pauli(name: str) -> np.ndarray:

@@ -131,6 +131,13 @@ def eval_component(m: MPSState, bits) -> complex:
     return complex(_contract(picked)[0])
 
 
+def _require_components(p: int) -> None:
+    """Raise TooLargeError if a dense vector of 2^p components is over
+    MAX_VECTOR_DIM; the CLI calls it before building what it will evaluate."""
+    if 2**p > MAX_VECTOR_DIM:
+        raise TooLargeError(f"dense evaluation of 2^{p} components exceeds the guard")
+
+
 def to_vector(m: MPSState) -> np.ndarray:
     """Dense vector of all 2^p components, index bit i_1 most significant.
 
@@ -140,8 +147,7 @@ def to_vector(m: MPSState) -> np.ndarray:
     must fit in MAX_DENSE_BYTES.  The output itself is capped at
     MAX_VECTOR_DIM components.
     """
-    if 2**m.p > MAX_VECTOR_DIM:
-        raise TooLargeError(f"dense evaluation of 2^{m.p} components exceeds the guard")
+    _require_components(m.p)
     dims = m.dims
     nbytes = 16 * dims[-1] * max(2 ** (m.p - j) * dims[j] for j in range(m.p))
     require_bytes(2 * nbytes, f"contraction needs {2 * nbytes} bytes for two {nbytes}-byte accumulators")

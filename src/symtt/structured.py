@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._constants import EPS_STRUCT
 from .errors import (
     BadParamsError,
     NotOmegaCirculantError,
@@ -43,8 +44,6 @@ from .linalg import (
     require_tol,
 )
 
-#: default relative tolerance for structure decisions
-EPS_STRUCT = 1e-10
 #: eigenvalue gap below which the two half-size blocks count as degenerate
 EPS_GAP = 1e-8
 #: rows per block of the residual pass

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._constants import EPS_SYM, SYMMETRY_KINDS
 from .errors import (
     BadParamsError,
     NotDiagonalizableError,
@@ -33,9 +34,6 @@ from .linalg import as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob,
 from .mps import MPSState, from_vector, to_vector
 from .structured import _flip2
 
-#: default relative tolerance for symmetry detection and verification
-EPS_SYM = 1e-10
-
 #: int64 label arrays of length 2^p that dof_count holds at once (its
 #: tracemalloc peak at p = 16 and 18, all three kinds, is 7.0 of them)
 _DOF_LABEL_ARRAYS = 7
@@ -43,8 +41,6 @@ _DOF_LABEL_ARRAYS = 7
 #: complex128 arrays of length 2^p that reverse_normal_form holds at once (its
 #: tracemalloc peak at p = 14 to 18, a real input's complex copy included, is 5.0)
 _REVERSE_NF_ARRAYS = 6
-
-SYMMETRY_KINDS = ("bitshift", "reverse", "bitflip", "fullbit", "firstsite", "lastsite")
 
 
 # ---------------------------------------------------------------- index maps

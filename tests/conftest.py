@@ -209,10 +209,10 @@ class line_list_reader:
         if self.left():
             raise self.error(f"{self.left()} non-blank line(s) after the last body, the first {self.lines[self.pos].strip()!r}")
 
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
+    def matrix(self, rows: int, cols: int, promised: str = "") -> np.ndarray:
         n = rows * cols
         if n > self.left():
-            raise self.error(f"header promises {n} entries, but only {self.left()} lines remain")
+            raise self.error(f"header promises {promised or n} entries, but only {self.left()} lines remain")
         body = self.lines[self.pos : self.pos + n]
         self.pos += n
         try:
