@@ -274,8 +274,6 @@ def _run_sym_normal_form(args, rep: Report) -> None:
     kind = args.kind
     if kind == "reverse":
         x = fileio.read_vec(args.vec)
-        # refuse a reconstruction too large to evaluate before building the form
-        mps._require_components(len(x).bit_length() - 1)
         nf = symmetry.reverse_normal_form(x)
         err = float(np.linalg.norm(nf.to_vector() - x))
         rep.add("reconstruction_error", err)

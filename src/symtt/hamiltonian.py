@@ -20,7 +20,8 @@ Every table model and both spin-1 models (each Y meets another Y) have
 exactly real term values.  ``certify_structure``, ``ground_state`` and ``ham
 spectrum`` assemble those as float64, the real part of ``assemble``'s matrix,
 and never copy them to complex128; their guard is 8 n^2 bytes, or 16 n^2 for
-a complex model.  ``assemble`` (``ham build``) returns complex128.
+a complex model; ``ground_state``'s eigenvector solve guards ``_SOLVE_ARRAYS``
+times that (``ham spectrum`` computes none).  ``assemble`` returns complex128.
 
 ``ground_state`` (and the CLI's ``ham spectrum``) use the paper's split where
 it is exact.  The exchange J reverses the basis order, which for spin-1/2 is
@@ -39,12 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._constants import _CHAIN_MODELS, MODEL_NAMES
-from .errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
+from .errors import BadParamsError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
 from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, frob, require_bytes, require_site_count
 from .structured import EPS_STRUCT, StructureFlags, _half_blocks, _lift, classify
 
-#: full-eigendecomposition guard for ground states
-MAX_EIG_DIM = 1024
+#: n x n arrays of h's dtype that ``_solve`` holds while it computes
+#: eigenvectors: tracemalloc peaks 1.75 (B +- JC split), 3.0 (whole real) and
+#: 2.0 (complex); max RSS with LAPACK's work arrays 2.7, 5.2 and 4.3 (n >= 729)
+_SOLVE_ARRAYS = 6
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -381,6 +384,9 @@ def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray |
     gave it.  Without ``lowest`` no eigenvectors are computed.
     """
     n = h.shape[0]
+    if lowest:
+        nbytes = _SOLVE_ARRAYS * h.itemsize * n * n
+        require_bytes(nbytes, f"full eigendecomposition of dimension {n} needs {nbytes} bytes")
     # a float64 h's .imag would be n^2 fresh zeros
     real = not (np.iscomplexobj(h) and h.imag.any())
     split = n % 2 == 0 and real and np.array_equal(h, h.T) and np.array_equal(h, h[::-1, ::-1])
@@ -400,7 +406,7 @@ def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray |
 
 
 def ground_state(spec: HamiltonianSpec) -> SpectrumReport:
-    """Full spectrum plus the lowest eigenpair of a (small) model.
+    """Full spectrum plus the lowest eigenpair of a model, within the solve's byte guard.
 
     The spectrum comes from the B +- JC blocks when the assembled matrix
     allows the split exactly (see the module docstring), else from one full
@@ -408,16 +414,13 @@ def ground_state(spec: HamiltonianSpec) -> SpectrumReport:
     Raises ``ResidualError`` when the eigenpair misses its residual bound
     against the full matrix.
     """
-    dim = spec.d**spec.p
-    if dim > MAX_EIG_DIM:
-        raise TooLargeError(f"full eigendecomposition of dimension {dim} exceeds the {MAX_EIG_DIM} guard")
     h = _assemble(spec, real=True)
     values, vec, sizes = _solve(h)
     gap = float(values[1] - values[0]) if len(values) > 1 else 0.0
     # h @ vec would copy a float64 h to complex128; row blocks give the same
     # bits unless one is a lone row of several (numpy's plain dot), which an
     # even split into ~32-row blocks never makes
-    hv = np.concatenate([b.astype(np.complex128) @ vec for b in np.array_split(h, -(-dim // 32))])
+    hv = np.concatenate([b.astype(np.complex128) @ vec for b in np.array_split(h, -(-len(h) // 32))])
     residual = frob(hv - values[0] * vec)
     bound = max(EPS_LIN * frob(h) * 10, 1e-9)
     if not residual <= bound:  # also rejects a NaN residual

@@ -31,10 +31,8 @@ from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMisma
 EPS_LIN = 1e-12
 #: relative singular-value cutoff defining numerical rank
 EPS_RANK = 1e-12
-#: size guard, in bytes, of the dense allocations (an assembled Hamiltonian,
-#: the accumulator of an MPS contraction, a site-independent chain, orbit
-#: labels and rotations) and of the entries an MPS1 file holds; compared
-#: only in ``require_bytes``
+#: the one size limit: bytes of each guarded dense allocation, and of the
+#: entries an MPS1 file holds; compared only in ``require_bytes``
 MAX_DENSE_BYTES = 2**30
 
 

@@ -42,6 +42,10 @@ _DOF_LABEL_ARRAYS = 7
 #: tracemalloc peak at p = 14 to 18, a real input's complex copy included, is 5.0)
 _REVERSE_NF_ARRAYS = 6
 
+#: complex128 2^p-vectors a construct's invariance test holds, ``to_vector``
+#: included: on bond-1 chains at p = 16 to 20, 3.0 traced and 3.2 to 3.8 by RSS
+_INVARIANCE_ARRAYS = 4
+
 
 # ---------------------------------------------------------------- index maps
 
@@ -260,6 +264,15 @@ def _direct_sum(m: MPSState, partner) -> list[np.ndarray]:
 
 # -------------------------------------------------- bit-shift / TI constructs
 
+def _require_invariant(m: MPSState, image, message: str) -> None:
+    """Raise SymmetryMismatchError(message) unless x = to_vector(m) is image(x) within EPS_SYM ||x||."""
+    nbytes = _INVARIANCE_ARRAYS * 16 * 2**m.p
+    require_bytes(nbytes, f"the invariance test at p = {m.p} needs {nbytes} bytes")
+    x = to_vector(m)
+    if np.linalg.norm(x - image(x)) > EPS_SYM * np.linalg.norm(x):
+        raise SymmetryMismatchError(message)
+
+
 def ti_shape(m: MPSState, block_len: int = 1) -> tuple[int, int]:
     """(q, D) of ``ti_construct(m, block_len)``: q = p / block_len cyclic
     copies of sites zero-padded to size D, so the bond dimension is q * D."""
@@ -284,11 +297,7 @@ def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
     # each distinct site once
     nbytes = 16 * r * 2 * (q * d) ** 2
     require_bytes(nbytes, f"the site-independent chain of bond dimension {q * d} needs {nbytes} bytes")
-    x = to_vector(m)
-    if np.linalg.norm(x - x[shift_perm(p, r)]) > EPS_SYM * np.linalg.norm(x):
-        raise SymmetryMismatchError(
-            "vector is not invariant under the cyclic bit shift (within EPS_SYM)"
-        )
+    _require_invariant(m, lambda x: x[shift_perm(p, r)], "vector is not invariant under the cyclic bit shift (within EPS_SYM)")
     scale = q ** (-1.0 / p)
     period = []
     for j in range(r):
@@ -352,9 +361,7 @@ def reverse_construct(m: MPSState) -> tuple[MPSState, SymmetryWitness]:
     witness list fulfills the consistency conditions S_j^H = S_{p-j},
     S_0 = S_p.
     """
-    x = to_vector(m)
-    if np.linalg.norm(x - np.conj(bit_reversed(x))) > EPS_SYM * np.linalg.norm(x):
-        raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
+    _require_invariant(m, lambda x: np.conj(bit_reversed(x)), "vector is not reverse symmetric (within EPS_SYM)")
     p = m.p
     dims = m.dims
     mirrored = [dagger(site) for site in m.sites[::-1]]
@@ -466,9 +473,7 @@ def bitflip_construct(m: MPSState, sign: int = 1) -> tuple[MPSState, SymmetryWit
     """
     if sign not in (1, -1):
         raise BadParamsError(f"sign must be +1 or -1, got {sign!r}")
-    x = to_vector(m)
-    if np.linalg.norm(x - sign * x[::-1]) > EPS_SYM * np.linalg.norm(x):
-        raise SymmetryMismatchError(f"vector does not satisfy J x = {sign:+d} x (within EPS_SYM)")
+    _require_invariant(m, lambda x: sign * x[::-1], f"vector does not satisfy J x = {sign:+d} x (within EPS_SYM)")
     leads = [sign] + [1] * (m.p - 1)
     swapped = [lead * site[::-1] for lead, site in zip(leads, m.sites)]
     witnesses = [_swap_block(d, d) for d in m.dims[:-1]]

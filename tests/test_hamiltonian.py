@@ -19,7 +19,7 @@ from symtt import (
     pauli,
     spin1,
 )
-from symtt import linalg
+from symtt import hamiltonian, linalg
 from symtt.errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
 from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _assemble, _solve
 from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob, kron_chain
@@ -459,9 +459,31 @@ def test_ground_state_ising_oracle():
     assert min(np.linalg.norm(j @ v - v), np.linalg.norm(j @ v + v)) < 1e-8
 
 
-def test_ground_state_guard():
-    with pytest.raises(TooLargeError):
-        ground_state(model("hx", 11))
+def test_ground_state_guard(monkeypatch):
+    # p = 4 (n = 16): the eigenvector solve's guard counts _SOLVE_ARRAYS
+    # matrices of h's dtype, float64 for hx and complex128 for hy
+    nbytes = hamiltonian._SOLVE_ARRAYS * 8 * 16 * 16
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes)
+    assert ground_state(model("hx", 4)).ground_vector.shape == (16,)
+    with pytest.raises(TooLargeError, match=rf"^full eigendecomposition of dimension 16 needs {2 * nbytes} bytes, over"):
+        ground_state(model("hy", 4))
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
+    with pytest.raises(TooLargeError, match=rf"^full eigendecomposition of dimension 16 needs {nbytes} bytes, over"):
+        ground_state(model("hx", 4))
+
+
+def test_solve_peak_is_within_its_guard():
+    # the B +- JC split (hx), a whole real solve (hz) and a complex one (hy)
+    for name in ("hx", "hz", "hy"):
+        for p in (7, 8):
+            h = _assemble(model(name, p), real=True)
+            tracemalloc.start()
+            try:
+                _solve(h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= hamiltonian._SOLVE_ARRAYS * h.itemsize * h.size, (name, p)
 
 
 def test_ground_state_residual_check(monkeypatch):

@@ -724,21 +724,44 @@ def test_cli_sym_normal_form_reverse(tmp_path, capsys, rng):
     assert float(lines["reconstruction_error"]) < 1e-10
 
 
-def test_cli_reverse_normal_form_refuses_an_oversized_reconstruction_first(tmp_path, capsys, rng, monkeypatch):
-    from symtt import mps, symmetry
+def test_cli_reverse_normal_form_is_refused_by_its_own_guard(tmp_path, capsys, rng, monkeypatch):
+    from symtt import symmetry
 
     x = symmetry.symmetrize_reverse(random_complex(rng, 2**7))
     vec = tmp_path / "r7.vec"
     write_vec(vec, x)
-    monkeypatch.setattr(mps, "MAX_VECTOR_DIM", 2**6)
-    # the message the reconstruction's own guard gives
-    with pytest.raises(TooLargeError) as refused:
-        symmetry.reverse_normal_form(x).to_vector()
+    monkeypatch.setattr(symtt.linalg, "MAX_DENSE_BYTES", symmetry._REVERSE_NF_ARRAYS * 16 * 2**7 - 1)
+    with pytest.raises(TooLargeError, match=r"^the reverse normal form at p = 7 needs") as refused:
+        symmetry.reverse_normal_form(x)
     built = []
-    monkeypatch.setattr(symmetry, "reverse_normal_form", lambda v: built.append(v))
+    monkeypatch.setattr(symmetry, "ReverseNormalForm", lambda **parts: built.append(parts))
     assert run_cli("sym", "normal-form", "--kind", "reverse", "--vec", str(vec)) == 1
     assert capsys.readouterr().err == f"error: {refused.value}\n"
     assert built == []
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=st.integers(1, 8).flatmap(lambda p: arrays(np.complex128, 2**p, elements=st.complex_numbers(max_magnitude=1.0))))
+def test_cli_writes_the_same_bytes_twice(tmp_path, capsys, x):
+    # the TT-SVD verbs and the reverse normal form on a random small input:
+    # two runs give the same exit code, stdout, stderr and output file
+    if np.any(x):
+        x = x / np.abs(x).max()  # a norm of tiny entries would underflow
+        x = x / np.linalg.norm(x)
+    write_vec(tmp_path / "x.vec", x)
+    write_vec(tmp_path / "r.vec", symtt.symmetrize_reverse(x))
+    commands = [
+        (["mps", "from-vector", tmp_path / "x.vec", "--out", tmp_path / "a.mps"], tmp_path / "a.mps"),
+        (["mps", "normalize", tmp_path / "a.mps", "--form", "vidal", "--out", tmp_path / "b.mps"], tmp_path / "b.mps"),
+        (["sym", "normal-form", "--kind", "reverse", "--vec", tmp_path / "r.vec"], None),
+    ]
+    for argv, out in commands:
+        runs = []
+        for _ in range(2):
+            code = run_cli(*map(str, argv))
+            text = capsys.readouterr()
+            runs.append((code, text.out, text.err, out.read_bytes() if out and out.exists() else None))
+        assert runs[0] == runs[1], argv
 
 
 def test_cli_struct_blockdiag(tmp_path, capsys, rng):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, reverse_normal_form, schur, svd, ti_construct, to_vector
+from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, reverse_construct, reverse_normal_form, schur, svd, ti_construct, to_vector
 from symtt import linalg
 from symtt.errors import NotHermitianError, TooLargeError
 from symtt.fileio import write_mps
-from symtt.hamiltonian import pauli
+from symtt.hamiltonian import _solve, pauli
 from symtt.linalg import dagger, frob, rank_from_sigma, require_bytes, split
 
 from conftest import random_complex, random_hermitian
@@ -205,11 +205,15 @@ _ONES = MPSState([np.ones((2, 1, 1))] * 2, boundary="open")
         lambda tmp: to_vector(_ONES),
         lambda tmp: orbits("10"),
         lambda tmp: dof_count(2, ["bitflip"]),
-        lambda tmp: ti_construct(from_vector(np.ones(4))),
+        lambda tmp: ti_construct(_ONES),
         lambda tmp: write_mps(tmp / "m.mps", _ONES),
         lambda tmp: reverse_normal_form(np.ones(4)),
+        lambda tmp: _solve(np.eye(2)),
+        lambda tmp: reverse_construct(_ONES),
+        lambda tmp: from_vector(np.ones(4)),
     ],
-    ids=["assemble", "to_vector", "orbits", "dof_count", "ti_construct", "write_mps", "reverse_normal_form"],
+    ids=["assemble", "to_vector", "orbits", "dof_count", "ti_construct", "write_mps", "reverse_normal_form",
+         "ground_state_solve", "construct_invariance", "from_vector_tt_svd"],
 )
 def test_every_size_guard_reads_max_dense_bytes(call, tmp_path, monkeypatch):
     # each guard passes at the default limit and trips below its allocation

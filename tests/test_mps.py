@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from symtt.errors import GaugeViolationError, NotNormalizedError, ShapeMismatchE
 from symtt.fileio import read_mps, write_mps
 from symtt.linalg import dagger
 from symtt import linalg
-from symtt.mps import EPS_GAUGE, _tt_cores
+from symtt.mps import _TT_SVD_ARRAYS, EPS_GAUGE, _tt_cores
 
 from conftest import brute_force_vector, random_complex, random_hermitian, random_mps, random_unit_vector
 
@@ -176,14 +178,30 @@ def test_to_vector_guards_two_accumulators(monkeypatch):
         to_vector(m)
 
 
-def test_to_vector_caps_its_components():
-    # a bond-1 chain needs only 2^p output bytes, but the output and the
-    # 2^p work callers build on it stay capped at MAX_VECTOR_DIM components
-    e0 = [(np.array([[1.0]]), np.array([[0.0]]))]
-    x = to_vector(MPSState(e0 * 20, boundary="open"))
-    assert x.shape == (2**20,) and x[0] == 1 and np.count_nonzero(x) == 1
-    with pytest.raises(TooLargeError, match=r"^dense evaluation of 2\^21 components exceeds the guard$"):
-        to_vector(MPSState(e0 * 21, boundary="open"))
+def test_to_vector_has_no_component_cap(monkeypatch):
+    # a bond-1 chain of 2^21 components holds two 32 MiB accumulators, far
+    # below the byte guard, which still refuses them under a lower limit
+    m = MPSState([(np.array([[1.0]]), np.array([[0.0]]))] * 21, boundary="open")
+    x = to_vector(m)
+    assert x.shape == (2**21,) and x[0] == 1 and np.count_nonzero(x) == 1
+    del x
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2 * 16 * 2**21 - 1)
+    with pytest.raises(TooLargeError, match=r"^contraction needs 67108864 bytes for two 33554432-byte accumulators, over"):
+        to_vector(m)
+
+
+def test_tt_svd_peak_is_within_its_guard(rng):
+    # full-rank inputs at even and odd p, through both TT-SVD callers
+    for p in (12, 13):
+        x = random_unit_vector(rng, 2**p)
+        for build in (from_vector, vidal_from_vector):
+            tracemalloc.start()
+            try:
+                build(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _TT_SVD_ARRAYS * 16 * 2**p, (p, build)
 
 
 def test_to_vector_matches_eval(rng):

@@ -246,7 +246,7 @@ def test_site_independent_chains_share_one_core(rng, monkeypatch):
 
 
 def test_ti_construct_rejects_asymmetric(rng):
-    with pytest.raises(SymmetryMismatchError):
+    with pytest.raises(SymmetryMismatchError, match=r"^vector is not invariant under the cyclic bit shift \(within EPS_SYM\)$"):
         ti_construct(from_vector(rand_vec(rng, 4)))
 
 
@@ -344,7 +344,7 @@ def test_reverse_construct_pbc_uniform(rng):
 
 
 def test_reverse_construct_rejects(rng):
-    with pytest.raises(SymmetryMismatchError):
+    with pytest.raises(SymmetryMismatchError, match=r"^vector is not reverse symmetric \(within EPS_SYM\)$"):
         reverse_construct(from_vector(rand_vec(rng, 4)))
 
 
@@ -463,6 +463,41 @@ def test_reverse_normal_form_peak_is_within_its_guard(rng):
         assert peak <= symmetry._REVERSE_NF_ARRAYS * 16 * 2**p
 
 
+def test_reverse_normal_form_guards_its_reconstruction(rng, monkeypatch):
+    # with the limit at the bytes the form guards, the contraction of its
+    # reconstruction is never refused: the form's guard always trips first
+    for p in range(1, 15):
+        x = symmetrize_reverse(rand_vec(rng, p))
+        monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", symmetry._REVERSE_NF_ARRAYS * 16 * 2**p)
+        nf = reverse_normal_form(x)
+        assert np.linalg.norm(nf.to_vector() - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_constructs_guard_their_invariance_test(monkeypatch):
+    # a bond-1 chain's contraction is guarded at two 2^p-vectors, its
+    # invariance test at _INVARIANCE_ARRAYS of them
+    m = MPSState([np.ones((2, 1, 1))] * 6, boundary="open")
+    nbytes = symmetry._INVARIANCE_ARRAYS * 16 * 2**6
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
+    for construct in (ti_construct, reverse_construct, bitflip_construct):
+        with pytest.raises(TooLargeError, match=rf"^the invariance test at p = 6 needs {nbytes} bytes, over"):
+            construct(m)
+
+
+def test_invariance_test_peak_is_within_its_guard():
+    # bond-1 chains whose vector, all ones, has every symmetry
+    for p in (14, 16):
+        m = MPSState([np.ones((2, 1, 1))] * p, boundary="open")
+        for construct in (ti_construct, reverse_construct, bitflip_construct):
+            tracemalloc.start()
+            try:
+                construct(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= symmetry._INVARIANCE_ARRAYS * 16 * 2**p, (p, construct)
+
+
 # ------------------------------------------------------------------- bitflip
 
 def test_bitflip_construct_ghz_exact():
@@ -496,7 +531,7 @@ def test_bitflip_construct_skew(rng):
 
 def test_bitflip_construct_sign_mismatch(rng):
     x = symmetrize_flip(rand_vec(rng, 4), 1)
-    with pytest.raises(SymmetryMismatchError):
+    with pytest.raises(SymmetryMismatchError, match=r"^vector does not satisfy J x = -1 x \(within EPS_SYM\)$"):
         bitflip_construct(from_vector(x), sign=-1)
 
 
