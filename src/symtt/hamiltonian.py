@@ -18,10 +18,10 @@ factors.  A guard of ``MAX_DENSE_BYTES`` bounds the one dense allocation.
 
 Every table model and both spin-1 models (each Y meets another Y) have
 exactly real term values.  ``certify_structure``, ``ground_state`` and ``ham
-spectrum`` assemble those as float64, the real part of ``assemble``'s matrix,
-and never copy them to complex128; their guard is 8 n^2 bytes, or 16 n^2 for
-a complex model; ``ground_state``'s eigenvector solve guards ``_SOLVE_ARRAYS``
-times that (``ham spectrum`` computes none).  ``assemble`` returns complex128.
+spectrum`` assemble those as float64, the real part of ``assemble``'s
+complex128 matrix, never copied to complex128; their guard is 8 n^2 bytes
+(16 n^2 for a complex model), and ``_solve`` guards ``_SOLVE_ARRAYS`` times
+that with eigenvectors (checked before assembly) and ``_SPECTRUM_ARRAYS`` without.
 
 ``ground_state`` (and the CLI's ``ham spectrum``) use the paper's split where
 it is exact.  The exchange J reverses the basis order, which for spin-1/2 is
@@ -48,6 +48,9 @@ from .structured import EPS_STRUCT, StructureFlags, _half_blocks, _lift, classif
 #: eigenvectors: tracemalloc peaks 1.75 (B +- JC split), 3.0 (whole real) and
 #: 2.0 (complex); max RSS with LAPACK's work arrays 2.7, 5.2 and 4.3 (n >= 729)
 _SOLVE_ARRAYS = 6
+
+#: n x n arrays of h's dtype, h included, for eigenvalues alone (max RSS 1.6 to 2.4, n >= 1024)
+_SPECTRUM_ARRAYS = 3
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -384,9 +387,8 @@ def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray |
     gave it.  Without ``lowest`` no eigenvectors are computed.
     """
     n = h.shape[0]
-    if lowest:
-        nbytes = _SOLVE_ARRAYS * h.itemsize * n * n
-        require_bytes(nbytes, f"full eigendecomposition of dimension {n} needs {nbytes} bytes")
+    nbytes = (_SOLVE_ARRAYS if lowest else _SPECTRUM_ARRAYS) * h.itemsize * n * n
+    require_bytes(nbytes, f"{'full eigendecomposition' if lowest else 'eigenvalue solve'} of dimension {n} needs {nbytes} bytes")
     # a float64 h's .imag would be n^2 fresh zeros
     real = not (np.iscomplexobj(h) and h.imag.any())
     split = n % 2 == 0 and real and np.array_equal(h, h.T) and np.array_equal(h, h[::-1, ::-1])
@@ -414,6 +416,9 @@ def ground_state(spec: HamiltonianSpec) -> SpectrumReport:
     Raises ``ResidualError`` when the eigenpair misses its residual bound
     against the full matrix.
     """
+    n = spec.d**spec.p  # _solve's guard on a float64 h, before assembly; _solve checks a complex h
+    nbytes = _SOLVE_ARRAYS * 8 * n * n
+    require_bytes(nbytes, f"full eigendecomposition of dimension {n} needs {nbytes} bytes")
     h = _assemble(spec, real=True)
     values, vec, sizes = _solve(h)
     gap = float(values[1] - values[0]) if len(values) > 1 else 0.0

@@ -34,10 +34,6 @@ from .linalg import as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob,
 from .mps import MPSState, from_vector, to_vector
 from .structured import _flip2
 
-#: int64 label arrays of length 2^p that dof_count holds at once (its
-#: tracemalloc peak at p = 16 and 18, all three kinds, is 7.0 of them)
-_DOF_LABEL_ARRAYS = 7
-
 #: complex128 arrays of length 2^p that reverse_normal_form holds at once (its
 #: tracemalloc peak at p = 14 to 18, a real input's complex copy included, is 5.0)
 _REVERSE_NF_ARRAYS = 6
@@ -57,30 +53,14 @@ def _check_pow2(x: np.ndarray) -> int:
     return p
 
 
-def shift_perm(p: int, r: int = 1) -> np.ndarray:
-    """Index permutation of the r-fold cyclic left bit shift."""
-    idx = np.arange(2**p, dtype=np.int64)
-    mask = 2**p - 1
-    r = r % p
-    return ((idx << r) & mask) | (idx >> (p - r))
-
-
-def reverse_perm(p: int) -> np.ndarray:
-    """Index permutation reversing the bit order."""
-    idx = np.arange(2**p, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for k in range(p):
-        out |= ((idx >> k) & 1) << (p - 1 - k)
-    return out
-
-
 def shifted(x: np.ndarray, r: int = 1) -> np.ndarray:
-    """Vector with components re-read at cyclically shifted bit indices."""
-    return x[shift_perm(_check_pow2(x), r)]
+    """Vector with component (i_1 .. i_p) read at x's (i_{r+1} .. i_p i_1 .. i_r): x as 2^(p-r) x 2^r, transposed."""
+    return x.reshape(-1, 2 ** (r % _check_pow2(x))).T.flatten()
 
 
 def bit_reversed(x: np.ndarray) -> np.ndarray:
-    return x[reverse_perm(_check_pow2(x))]
+    """Vector with components re-read at reversed bit indices: x's p axes of size 2, transposed."""
+    return x.reshape((2,) * _check_pow2(x)).transpose().flatten()
 
 
 def symmetrize_shift(x, r: int = 1) -> np.ndarray:
@@ -91,7 +71,7 @@ def symmetrize_shift(x, r: int = 1) -> np.ndarray:
         raise ShapeMismatchError(f"block length {r} must divide p = {p}")
     out = np.zeros_like(v)
     for k in range(0, p, r):
-        out += v[shift_perm(p, k)]
+        out += shifted(v, k)
     return out * (r / p)
 
 
@@ -115,7 +95,6 @@ def detect_vector_symmetries(x, tol: float = EPS_SYM) -> set[str]:
     """
     require_tol(tol)
     v = as_cvector(x)
-    _check_pow2(v)
     thresh = tol * np.linalg.norm(v)
     found = set()
     if np.linalg.norm(v - shifted(v)) <= thresh:
@@ -166,37 +145,50 @@ class DofReport:
     reduction_factors: dict[str, float]
 
 
+def _fixed_strings(p: int, flip: int, mirror: int, k: int) -> int:
+    """Strings of p bits fixed by flip^flip reverse^mirror shift^k, which moves position j to j + k
+    (mirrored: -1 - k - j) mod p: 2^c for its c cycles, or 0 if the flip meets an odd cycle."""
+    seen = [False] * p
+    cycles = 0
+    for start in range(p):
+        j, length = start, 0
+        while not seen[j]:
+            seen[j] = True
+            j = (-1 - k - j if mirror else j + k) % p
+            length += 1
+        if flip and length % 2:
+            return 0
+        cycles += length > 0
+    return 2**cycles
+
+
 def dof_count(p: int, kinds) -> DofReport:
     """Exact orbit counts of bit strings under the chosen symmetries.
 
     counts maps each single kind to its class count and, when several kinds
     are given, "combined" to the count under the jointly generated group.
-    The flip commutes with shift and reversal, so every group element is
-    flip^b reverse^a shift^k; the least image of an index over the group
-    labels its orbit, kept as a running minimum in O(2^p) memory.  The label
-    arrays must fit in MAX_DENSE_BYTES (p <= 24).
+    The flip commutes with shift and reversal, so the words flip^b reverse^a
+    shift^k cover the group, each element equally often; by Burnside's lemma
+    a count is the mean of ``_fixed_strings`` over the words, with no 2^p
+    array.  The counts describe 2^p-entry complex vectors, whose 16 * 2^p
+    bytes must fit in MAX_DENSE_BYTES (p <= 26).
     """
     require_site_count(p)
-    nbytes = _DOF_LABEL_ARRAYS * 8 * 2**p
-    require_bytes(nbytes, f"orbit counting at p = {p} needs {nbytes} bytes of int64 labels")
+    nbytes = 16 * 2**p
+    require_bytes(nbytes, f"orbit counting at p = {p} describes vectors of {nbytes} bytes")
     kinds = sorted(set(kinds))
     unknown = set(kinds) - {"bitshift", "bitflip", "reverse"}
     if unknown:
         raise UnknownNameError(f"unknown symmetry kinds for counting: {sorted(unknown)}")
     if not kinds:
         raise BadParamsError("need at least one symmetry kind")
-    rev = reverse_perm(p)
-    top = 2**p - 1
 
     def count(group_kinds) -> int:
-        canon = np.arange(2**p, dtype=np.int64)
-        for k in range(p if "bitshift" in group_kinds else 1):
-            image = shift_perm(p, k)
-            for img in (image, rev[image]) if "reverse" in group_kinds else (image,):
-                np.minimum(canon, img, out=canon)
-                if "bitflip" in group_kinds:
-                    np.minimum(canon, top - img, out=canon)
-        return int(len(np.unique(canon)))
+        flips = (0, 1) if "bitflip" in group_kinds else (0,)
+        mirrors = (0, 1) if "reverse" in group_kinds else (0,)
+        shifts = range(p if "bitshift" in group_kinds else 1)
+        fixed = [_fixed_strings(p, b, a, k) for b in flips for a in mirrors for k in shifts]
+        return sum(fixed) // len(fixed)
 
     counts = {k: count([k]) for k in kinds}
     if len(kinds) > 1:
@@ -297,7 +289,7 @@ def ti_construct(m: MPSState, block_len: int = 1) -> MPSState:
     # each distinct site once
     nbytes = 16 * r * 2 * (q * d) ** 2
     require_bytes(nbytes, f"the site-independent chain of bond dimension {q * d} needs {nbytes} bytes")
-    _require_invariant(m, lambda x: x[shift_perm(p, r)], "vector is not invariant under the cyclic bit shift (within EPS_SYM)")
+    _require_invariant(m, lambda x: shifted(x, r), "vector is not invariant under the cyclic bit shift (within EPS_SYM)")
     scale = q ** (-1.0 / p)
     period = []
     for j in range(r):
@@ -439,7 +431,7 @@ def reverse_normal_form(x) -> ReverseNormalForm:
         raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
     m = p // 2
     n = 2**m
-    cores = v.reshape(n, -1, n)[:, :, reverse_perm(m)].swapaxes(0, 1)
+    cores = v.reshape((n, -1) + (2,) * m).transpose(0, 1, *range(m + 1, 1, -1)).reshape(n, -1, n).swapaxes(0, 1)
     # C, or C_0 stacked over C_1, made exactly Hermitian
     cores = (0.5 * (cores + dagger(cores))).reshape(-1, n)
     if p % 2 == 0:

@@ -472,6 +472,49 @@ def test_ground_state_guard(monkeypatch):
         ground_state(model("hx", 4))
 
 
+def test_ground_state_refuses_before_it_assembles(monkeypatch):
+    # one byte below the hx p = 4 solve guard: refused with _solve's message,
+    # and the matrix is never assembled
+    nbytes = hamiltonian._SOLVE_ARRAYS * 8 * 16 * 16
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
+
+    def no_assembly(spec, real):
+        raise AssertionError("assembled past the solve guard")
+
+    monkeypatch.setattr(hamiltonian, "_assemble", no_assembly)
+    with pytest.raises(TooLargeError, match=rf"^full eigendecomposition of dimension 16 needs {nbytes} bytes, over"):
+        ground_state(model("hx", 4))
+
+
+def test_spectrum_guard(monkeypatch):
+    # p = 4 (n = 16): eigenvalues alone guard _SPECTRUM_ARRAYS matrices of h's
+    # dtype, float64 for hx and complex128 for hy
+    nbytes = hamiltonian._SPECTRUM_ARRAYS * 8 * 16 * 16
+    hx, hy = (_assemble(model(name, 4), real=True) for name in ("hx", "hy"))
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes)
+    assert _solve(hx, lowest=False)[0].shape == (16,)
+    with pytest.raises(TooLargeError, match=rf"^eigenvalue solve of dimension 16 needs {2 * nbytes} bytes, over"):
+        _solve(hy, lowest=False)
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
+    with pytest.raises(TooLargeError, match=rf"^eigenvalue solve of dimension 16 needs {nbytes} bytes, over"):
+        _solve(hx, lowest=False)
+
+
+def test_spectrum_peak_is_within_its_guard():
+    # h itself counts toward the guard; the split (hx), whole real (hz) and
+    # complex (hy) eigenvalue solves
+    for name in ("hx", "hz", "hy"):
+        for p in (7, 8):
+            h = _assemble(model(name, p), real=True)
+            tracemalloc.start()
+            try:
+                _solve(h, lowest=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.nbytes + peak <= hamiltonian._SPECTRUM_ARRAYS * h.itemsize * h.size, (name, p)
+
+
 def test_solve_peak_is_within_its_guard():
     # the B +- JC split (hx), a whole real solve (hz) and a complex one (hy)
     for name in ("hx", "hz", "hy"):

@@ -983,7 +983,7 @@ def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
         (("sym", "detect", "{dir}/ghz.vec", "--tol", "nan"), "tol .* got nan"),
         (("sym", "detect", "{dir}/ghz.vec", "--tol", "-1"), "tol .* got -1"),
         (("struct", "circulant-eig", "{dir}/eye.mat"), "1 x n or n x 1 first row, got shape \\(2, 2\\)"),
-        (("sym", "dof", "--p", "25", "--kinds", "bitshift"), "1879048192 bytes of int64 labels"),
+        (("sym", "dof", "--p", "27", "--kinds", "bitshift"), "p = 27 describes vectors of 2147483648 bytes"),
         (("sym", "normal-form", "--kind", "reverse", "--vec", "{dir}/asym.vec"), "not reverse symmetric"),
     ],
 )

@@ -89,6 +89,33 @@ def test_shift_and_reverse_helpers():
     assert np.allclose(bit_reversed(x)[0b110], x[0b011])
 
 
+@pytest.mark.parametrize("p", range(1, 13))
+def test_bit_maps_match_bit_strings(p):
+    # oracle: component s is read at the rotated or reversed p-character string
+    strings = [format(i, f"0{p}b") for i in range(2**p)]
+    rng = np.random.default_rng(p)
+    for x in (random_complex(rng, 2**p), rng.integers(-(2**40), 2**40, size=2**p)):
+        assert np.array_equal(bit_reversed(x), x[[int(s[::-1], 2) for s in strings]])
+        for r in (-1, 0, 1, 2, p - 1, p, p + 1):
+            k = r % p
+            y = shifted(x, r)
+            assert y.dtype == x.dtype and not np.shares_memory(y, x)
+            assert np.array_equal(y, x[[int(s[k:] + s[:k], 2) for s in strings]]), r
+
+
+def test_bit_maps_hold_only_their_output():
+    p = 20
+    x = np.ones(2**p, dtype=np.complex128)
+    for call in (lambda: shifted(x), lambda: shifted(x, 7), lambda: bit_reversed(x)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * x.nbytes
+
+
 # -------------------------------------------------------------------- orbits
 
 def test_orbits_table_row():
@@ -155,20 +182,25 @@ def test_dof_bounds():
         assert counts["reverse"] >= 2 ** (p - 1)
 
 
-def test_dof_guard(monkeypatch):
-    with pytest.raises(TooLargeError, match="p = 25 needs 1879048192 bytes .* MAX_DENSE_BYTES"):
-        dof_count(25, ["bitshift"])
+def test_dof_guard():
+    # the counts describe 2^p-entry complex vectors: p = 26 is 1 GiB
+    counts = dof_count(26, ["bitflip", "reverse"]).counts
+    assert counts["bitflip"] == 2**25 and counts["reverse"] == (2**26 + 2**13) // 2
+    with pytest.raises(TooLargeError, match="p = 27 describes vectors of 2147483648 bytes, over the MAX_DENSE_BYTES"):
+        dof_count(27, ["bitshift"])
     for p in (2.5, "3", True, 0):
         with pytest.raises(BadParamsError, match="site count"):
             dof_count(p, ["bitshift"])
 
-    # p = 24 passes the byte guard; stop at the first label array it builds
-    def first_allocation(p):
-        raise RuntimeError(f"allocating labels for p = {p}")
 
-    monkeypatch.setattr(symmetry, "reverse_perm", first_allocation)
-    with pytest.raises(RuntimeError, match="p = 24"):
-        dof_count(24, ["bitshift"])
+def test_dof_count_builds_no_index_arrays():
+    tracemalloc.start()
+    try:
+        dof_count(20, ["bitshift", "bitflip", "reverse"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("p", range(1, 15))
@@ -811,4 +843,14 @@ def test_ground_state_symmetries_construct_and_verify(name):
             assert verify_relation(out, wit).max_residual <= EPS_SYM * symmetry._state_scale(out), case
             assert np.linalg.norm(to_vector(out) - x) <= 1e-10, case
             built.add(wit.kind)
+            # the matching normal form keeps the ground vector too
+            if wit.kind == "reverse":
+                normal = reverse_normal_form(x).to_vector()
+            elif wit.kind == "bitflip":
+                nf, diag = bitflip_normal_form(out, wit)
+                assert verify_relation(nf, diag).max_residual <= EPS_SYM * symmetry._state_scale(nf), case
+                normal = to_vector(nf)
+            else:
+                normal = to_vector(ti_chain_normal_form(out))
+            assert np.linalg.norm(normal - x) <= 1e-10, case
     assert built == {"bitflip", "reverse", "bitshift"}
