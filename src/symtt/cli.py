@@ -129,8 +129,7 @@ def _run_ham(args, rep: Report) -> None:
             flags = hamiltonian.certify_structure(_spec_from_args(args), tol=args.tol)
         _flags_report(rep, flags)
     elif args.verb == "spectrum":
-        h = hamiltonian._assemble(_spec_from_args(args), real=True)
-        values, _, _ = hamiltonian._solve(h, lowest=False)
+        values, _, _ = hamiltonian._solve_sectors(_spec_from_args(args), vector=False)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(_g17(v) for v in values) + "\n")
@@ -138,7 +137,7 @@ def _run_ham(args, rep: Report) -> None:
         else:
             for v in values:
                 print(_g17(v))
-        rep.add("dim", h.shape[0])
+        rep.add("dim", len(values))
     elif args.verb == "ground":
         report = hamiltonian.ground_state(_spec_from_args(args))
         rep.add("energy", report.ground_energy)

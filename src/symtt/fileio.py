@@ -94,18 +94,22 @@ class _Reader:
 
     The lines are held as one bytes object, separated by single "\\n"; their
     ends are found one ``_WINDOW`` of bytes at a time as the reader advances,
-    and only the current window's are kept.  A file that is not ``_plain``
-    (CR line ends, blank lines, other whitespace, non-ASCII or undecodable
-    bytes) is first rewritten into that form from ``str.splitlines``,
-    skipping blank lines.  Each body is parsed in place, and each distinct
-    body text once; where it recurs (same length and hash, then the same
-    bytes at the offset kept for it), the same array is returned again, made
-    read-only.
+    and only the current window's are kept.  CRLF line ends are first
+    replaced by "\\n" in the bytes.  A file that is still not ``_plain`` (CR
+    line ends, blank lines, other whitespace, non-ASCII or undecodable bytes)
+    is then rewritten into that form from ``str.splitlines``, skipping blank
+    lines; both give the lines ``str.splitlines`` gives.  Each body is parsed
+    in place, and each distinct body text once; where it recurs (same length
+    and hash, then the same bytes at the offset kept for it), the same array
+    is returned again, made read-only.
     """
 
     def __init__(self, path):
         self.where = str(path)
         raw = Path(path).read_bytes()
+        if not _plain(raw):
+            # CRLF line ends alone keep the plain path, at one more copy of the bytes
+            raw = raw.replace(b"\r\n", b"\n")
         if not _plain(raw):
             # undecodable bytes become U+FFFD, which no header or entry accepts
             text = raw.decode("utf-8", errors="replace")

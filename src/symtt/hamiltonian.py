@@ -7,29 +7,17 @@ assembly, closed-form spectra of transverse-field strings, the diagonal
 transform removing the y-component of anisotropic XY fields, structure
 certification, and ground-state extraction all operate on this one term form.
 
-``assemble`` returns a dense matrix but never forms a term's Kronecker
-product densely: it folds each term's factors into the coordinates and values
-of its nonzeros (a Pauli string has one per row) and adds those into the
-result.  The products run left to right and the terms in order, as a dense
-Kronecker fold would, and each one multiplies by a whole factor as
-``np.kron`` does, so numpy rounds it the same way (fused or not) however
-sparse the factor is: the entries are bit-identical to the fold for any
-factors.  A guard of ``MAX_DENSE_BYTES`` bounds the one dense allocation.
-
-Every table model and both spin-1 models (each Y meets another Y) have
-exactly real term values.  ``certify_structure``, ``ground_state`` and ``ham
-spectrum`` assemble those as float64, the real part of ``assemble``'s
-complex128 matrix, never copied to complex128; their guard is 8 n^2 bytes
-(16 n^2 for a complex model), and ``_solve`` guards ``_SOLVE_ARRAYS`` times
-that with eigenvectors (checked before assembly) and ``_SPECTRUM_ARRAYS`` without.
-
-``ground_state`` (and the CLI's ``ham spectrum``) use the paper's split where
-it is exact.  The exchange J reverses the basis order, which for spin-1/2 is
-the global spin flip X^{(x)p}.  An assembled h that is exactly real
-symmetric, of even order and equal to J h J entry for entry (every spin-1/2
-model but hy and hz) is diagonalized as its two half-size blocks B + JC and
-B - JC, in real arithmetic.  Spin-1 models (odd order 3^p) and hz (odd
-under the flip) take one full real ``eigh``, hy (complex) a complex one.
+A model becomes numbers only through ``_nonzeros``: each term's nonzeros,
+folded left to right by whole factors as ``np.kron`` multiplies, summed per
+entry in term order, bit-identical to a dense Kronecker fold for any
+factors.  ``assemble`` scatters them into the dense matrix (``ham build``);
+nothing else forms a d^p x d^p matrix.  ``certify_structure`` streams
+32-row blocks of them through ``structured``'s residual pass, and
+``ground_state`` and ``ham spectrum`` solve the symmetry sectors of
+``_Sectors`` (translations or mirror, times the global flip, which is the
+paper's exchange J).  Each path guards its measured peak before it
+allocates: per term nonzero and per basis state before the nonzeros are
+built, and the largest sector block on top before any block is.
 """
 
 from __future__ import annotations
@@ -40,17 +28,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._constants import _CHAIN_MODELS, MODEL_NAMES
-from .errors import BadParamsError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
-from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, frob, require_bytes, require_site_count
-from .structured import EPS_STRUCT, StructureFlags, _half_blocks, _lift, classify
+from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
+from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
+from .structured import _BLOCK_ROWS, EPS_STRUCT, StructureFlags, _classify
 
-#: n x n arrays of h's dtype that ``_solve`` holds while it computes
-#: eigenvectors: tracemalloc peaks 1.75 (B +- JC split), 3.0 (whole real) and
-#: 2.0 (complex); max RSS with LAPACK's work arrays 2.7, 5.2 and 4.3 (n >= 729)
-_SOLVE_ARRAYS = 6
-
-#: n x n arrays of h's dtype, h included, for eigenvalues alone (max RSS 1.6 to 2.4, n >= 1024)
-_SPECTRUM_ARRAYS = 3
+#: bytes per term nonzero held while a model's nonzeros are built and used:
+#: traced peaks 12-57 where terms share entries, 79 (hx) and 119 (the
+#: complex hy) with one nonzero per term and row
+_NONZERO_BYTES = 128
+#: bytes per basis state of the sector solve's index arrays and its lift
+_INDEX_BYTES = 128
+#: bytes per basis state of ``certify_structure``'s row blocks: traced peaks
+#: of 3 to 6.2 rows of 32 entries of the nonzeros' dtype
+_CERTIFY_STATE_BYTES = 7 * 16 * _BLOCK_ROWS
+#: m x m matrices of the largest sector block's dtype that ``eigh`` holds on
+#: it (traced peaks up to 3.9, LAPACK's work arrays on top), and eigenvalues alone
+_EIGH_ARRAYS, _EIGVALSH_ARRAYS = 6, 3
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -257,34 +250,70 @@ def _term_nonzeros(factors, ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return rows, cols, vals
 
 
-def assemble(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense d^p x d^p complex128 matrix of the term sum, added up from each
-    term's nonzeros."""
-    return _assemble(spec, real=False)
+def _sums(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """``np.bincount`` of real or complex weights (each part on its own),
+    which adds them in input order from 0.0; float64 or complex128 also when
+    there are none (bincount gives int64)."""
+    out = np.bincount(index, weights.real, length).astype(np.float64, copy=False)
+    if np.iscomplexobj(weights):
+        out = out.astype(np.complex128)
+        out.imag = np.bincount(index, weights.imag, length)
+    return out
 
 
-def _assemble(spec: HamiltonianSpec, real: bool) -> np.ndarray:
-    """``assemble``, but with ``real`` a float64 matrix, the real part of
-    ``assemble``'s bit for bit, as long as every term's values are exactly
-    real; the first complex term starts the assembly over in complex128.
+def _nonzero_bytes(spec: HamiltonianSpec, state_bytes: int) -> tuple[int, int]:
+    """The count of term nonzeros and the bytes ``_nonzeros`` guards."""
+    count = sum(math.prod(spec.d if f is None else int(np.count_nonzero(f)) for f in t.factors) for t in spec.terms)
+    return count, _NONZERO_BYTES * count + state_bytes * spec.d**spec.p
 
-    The guard counts 8 bytes per entry with ``real`` and 16 without.
+
+def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the model's nonzeros, in row-major order:
+    the one way a model becomes numbers.
+
+    Each term's ``_term_nonzeros`` times its coefficient are summed per (row,
+    col) in term order from 0.0 (``_sums``), as a dense assembly adds them,
+    so every value is bit for bit that matrix's entry.  The values are
+    float64 when every imaginary part is zero, else complex128.  The guard
+    counts ``_NONZERO_BYTES`` per term nonzero plus the caller's
+    ``state_bytes`` per basis state, before anything is built.
     """
-    dim = spec.d**spec.p
-    nbytes = (8 if real else 16) * dim * dim
-    require_bytes(nbytes, f"dense assembly of dimension {dim} needs {nbytes} bytes")
+    n = spec.d**spec.p
+    count, nbytes = _nonzero_bytes(spec, state_bytes)
+    require_bytes(nbytes, f"{count} term nonzeros and {n} basis states need {nbytes} bytes")
     ident = np.eye(spec.d, dtype=np.complex128)
-    h = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+    keys, re, im = [], [], []
     for term in spec.terms:
         rows, cols, vals = _term_nonzeros(term.factors, ident)
         vals = term.coeff * vals
-        if real and vals.imag.any():
-            del h  # freed before the complex128 matrix is allocated
-            return _assemble(spec, real=False)
-        # the (row, col) pairs of one Kronecker product are distinct, so the
-        # buffered fancy-index add is exact; its real part is the same add
-        # on the real parts
-        h[rows, cols] += vals.real if real else vals
+        keys.append(rows * n + cols)
+        re.append(vals.real.copy())
+        # an all-zero imaginary part adds nothing to sums that start at +0.0
+        im.append(vals.imag.copy() if vals.imag.any() else None)
+    keys = np.concatenate(keys)
+    uniq = np.sort(keys)  # not np.unique, whose first call imports numpy.ma (~20 ms)
+    uniq = uniq[np.diff(uniq, prepend=-1) != 0]
+    inv = np.searchsorted(uniq, keys)
+    del keys
+    out = _sums(inv, np.concatenate(re), len(uniq))
+    if any(i is not None for i in im):
+        imag = _sums(inv, np.concatenate([np.zeros(len(r)) if i is None else i for r, i in zip(re, im)]), len(uniq))
+        if imag.any():
+            out = out.astype(np.complex128)
+            out.imag = imag
+    rows, cols = np.divmod(uniq, n)
+    return rows, cols, out
+
+
+def assemble(spec: HamiltonianSpec) -> np.ndarray:
+    """Dense d^p x d^p complex128 matrix of the term sum: ``_nonzeros``
+    scattered into zeros, guarded at 16 bytes per entry."""
+    dim = spec.d**spec.p
+    nbytes = 16 * dim * dim
+    require_bytes(nbytes, f"dense assembly of dimension {dim} needs {nbytes} bytes")
+    rows, cols, vals = _nonzeros(spec)
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    h[rows, cols] = vals
     return h
 
 
@@ -355,10 +384,42 @@ def fourier_conjugate(h, p: int) -> np.ndarray:
     return x.reshape(n, n)
 
 
+def _row_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """The blocks of ``structured._residual_norms`` for the n x n matrix with
+    these row-major nonzeros: ``_BLOCK_ROWS`` rows of it, of its transpose
+    and of J m J at a time, each scattered into zeros."""
+    by_col = np.argsort(cols, kind="stable")
+    col_starts = np.searchsorted(cols[by_col], np.arange(0, n + _BLOCK_ROWS, _BLOCK_ROWS).clip(max=n))
+    row_starts = np.searchsorted(rows, np.arange(n + 1))
+    for b, i in enumerate(range(0, n, _BLOCK_ROWS)):
+        hi = min(i + _BLOCK_ROWS, n)
+        a, at, jaj = (np.zeros((hi - i, n), dtype=vals.dtype) for _ in range(3))
+        k = slice(row_starts[i], row_starts[hi])
+        a[rows[k] - i, cols[k]] = vals[k]
+        k = by_col[col_starts[b] : col_starts[b + 1]]
+        at[cols[k] - i, rows[k]] = vals[k]
+        k = slice(row_starts[n - hi], row_starts[n - i])  # rows n - hi .. n - 1 - i, reversed in J m J
+        jaj[n - 1 - i - rows[k], n - 1 - cols[k]] = vals[k]
+        yield i, a, at, jaj
+
+
 def certify_structure(spec: HamiltonianSpec, tol: float = EPS_STRUCT) -> StructureFlags:
-    """Classify the assembled matrix of the model (float64 when exactly real,
-    see the module docstring)."""
-    return classify(_assemble(spec, real=True), tol=tol)
+    """Classify the model's matrix from its nonzeros, with no n x n matrix.
+
+    ``structured._residual_norms`` runs on blocks of rows scattered from
+    ``_nonzeros``, so flags, omega and residuals are those of
+    ``classify(assemble(spec))``; the tolerance scales with the norm of the
+    nonzeros.
+    """
+    require_tol(tol)
+    n = spec.d**spec.p
+    rows, cols, vals = _nonzeros(spec, _CERTIFY_STATE_BYTES)
+    first_row, first_col = np.zeros(n, dtype=vals.dtype), np.zeros(n, dtype=vals.dtype)
+    top = rows == 0
+    first_row[cols[top]] = vals[top]
+    left = cols == 0
+    first_col[rows[left]] = vals[left]
+    return _classify(first_row, first_col, _row_blocks(rows, cols, vals, n), frob(vals), tol)
 
 
 @dataclass(frozen=True)
@@ -367,68 +428,211 @@ class SpectrumReport:
     ground_energy: float
     ground_vector: np.ndarray
     gap: float
-    #: orders of the blocks diagonalized: (n/2, n/2) for the B +- JC split,
-    #: (n,) for one full eigh
+    #: orders of the symmetry sectors with a nonempty block, in character
+    #: order (``_Sectors``); they sum to d^p
     sector_sizes: tuple[int, ...]
     #: ||h v - E v||_F of the returned ground pair, against the full h
     residual: float
+    #: characters of the sector the ground vector was solved in: "momentum"
+    #: k with ``symmetry.shifted(v) == exp(2 pi i k / p) v`` on a ring,
+    #: "mirror" +-1 (v at digit-reversed indices) on an open chain, and
+    #: "flip" +-1 with v[::-1] == +-v; each only when the model has it
+    ground_sector: dict[str, int] = field(default_factory=dict)
 
 
-def _solve(h: np.ndarray, lowest: bool = True) -> tuple[np.ndarray, np.ndarray | None, tuple[int, ...]]:
-    """All eigenvalues of an assembled Hamiltonian h, ascending, its lowest
-    eigenvector (None unless ``lowest``) and the orders of the blocks solved.
+def _maps_onto(rows, cols, vals, n: int, g: np.ndarray | None) -> bool:
+    """True when moving each nonzero (i, j) to (g[i], g[j]), or with g None
+    to (j, i) conjugated, gives a matrix within EPS_LIN of the nonzeros' in
+    the Frobenius norm (another order of the same terms rounds differently);
+    an entry missing on either side counts as zero."""
+    keys = rows * n + cols
+    moved = cols * n + rows if g is None else g[rows] * n + g[cols]
+    at = np.argsort(moved)
+    moved = moved[at]
+    pos = np.searchsorted(keys, moved).clip(max=len(keys) - 1)  # where each moved entry lands
+    hit = keys[pos] == moved
+    del keys, moved
+    moved_vals = vals[at].conj() if g is None else vals[at]
+    covered = np.zeros(len(vals), dtype=bool)
+    covered[pos[hit]] = True
+    sq = sum(np.vdot(x, x).real for x in (vals[pos[hit]] - moved_vals[hit], moved_vals[~hit], vals[~covered]))
+    return math.sqrt(sq) <= EPS_LIN * frob(vals)
 
-    An exactly real symmetric h of even order with h == J h J splits into
-    the blocks B + JC and B - JC (``structured._half_blocks``).  The two
-    blocks are solved on their own, in real arithmetic, their values merged,
-    and only the lowest eigenvector u is lifted back by ``structured._lift``:
-    to (u; Ju)/sqrt(2) from B + JC, to (u; -Ju)/sqrt(2) from B - JC.  Any
-    other h is solved whole, and its lowest vector is returned as ``eigh``
-    gave it.  Without ``lowest`` no eigenvectors are computed.
+
+def _root(m: int, order: int) -> complex:
+    """exp(2 pi i m / order), exact at quarter turns."""
+    quarter, rest = divmod(4 * (m % order), order)
+    angle = 2 * math.pi * m / order
+    return (1.0, 1j, -1.0, -1j)[quarter] if rest == 0 else complex(math.cos(angle), math.sin(angle))
+
+
+class _Sectors:
+    """The symmetry sectors of a model's matrix, from its nonzeros.
+
+    The group is generated by the translation of ``symmetry.shifted`` on a
+    ring or the site mirror on an open chain, and the global flip (digit i ->
+    d - 1 - i, the exchange J), each admitted when it maps the nonzeros onto
+    themselves (``_maps_onto``); H must be Hermitian in the same sense.
+    Element e = a + o1 * b is g1^a g2^b; character c = (c1, c2) has
+    chi_c(e) = exp(2 pi i (a c1 / o1 + b c2 / o2)).
+
+    The group is folded over index arrays one element at a time: every index
+    t gets its representative, the least index of its orbit, and the first
+    element u_t that maps t there.  Representative r is in sector c when
+    chi_c is 1 on r's stabilizer, as the state
+    |r, c> = O_r^(-1/2) sum_t conj(chi_c(u_t)) |t> over its orbit of O_r
+    indices, and the block entries come from the columns at representatives:
+    <s,c|H|r,c> = sqrt(O_r / O_s) sum_t h_tr chi_c(u_t), t in s's orbit.
     """
-    n = h.shape[0]
-    nbytes = (_SOLVE_ARRAYS if lowest else _SPECTRUM_ARRAYS) * h.itemsize * n * n
-    require_bytes(nbytes, f"{'full eigendecomposition' if lowest else 'eigenvalue solve'} of dimension {n} needs {nbytes} bytes")
-    # a float64 h's .imag would be n^2 fresh zeros
-    real = not (np.iscomplexobj(h) and h.imag.any())
-    split = n % 2 == 0 and real and np.array_equal(h, h.T) and np.array_equal(h, h[::-1, ::-1])
-    blocks = _half_blocks(h.real) if split else (h,)
-    sizes = tuple(len(b) for b in blocks)
-    if not lowest:
-        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])), None, sizes
-    if not split:
-        res = eigh(h)
-        return res.values, np.ascontiguousarray(res.vectors[:, 0]), sizes
-    plus, minus = (eigh(b) for b in blocks)
-    sign = 1.0 if plus.values[0] <= minus.values[0] else -1.0
-    u = (plus if sign > 0 else minus).vectors[:, 0]
-    vec = _lift(u, sign)
+
+    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        p, d = spec.p, spec.d
+        n = d**p
+        self.real = not np.iscomplexobj(vals)  # H is
+        idx = np.arange(n)
+        if spec.boundary == "periodic":
+            moves = [("momentum", p, idx % d ** (p - 1) * d + idx // d ** (p - 1))]
+        else:
+            moves = [("mirror", 2, idx.reshape((d,) * p).transpose().ravel())]
+        moves.append(("flip", 2, idx[::-1]))
+        if not _maps_onto(rows, cols, vals, n, None):
+            raise NotHermitianError(f"matrix is not Hermitian within {EPS_LIN:g} relative tolerance")
+        self.gens = [(name, order, g) for name, order, g in moves if _maps_onto(rows, cols, vals, n, g)]
+        (_, o1, _), (_, o2, _) = self.gens + [("", 1, None)] * (2 - len(self.gens))
+        self.orders, self.size = (o1, o2), o1 * o2
+        rep, best = idx.copy(), np.zeros(n, dtype=np.int16)
+        for e, img in self._images(idx):
+            lower = img < rep
+            rep[lower], best[lower] = img[lower], e
+        self.reps = np.flatnonzero(rep == idx)
+        del idx, lower
+        self.rep_of, self.best = np.searchsorted(self.reps, rep), best
+        del rep
+        stab = np.zeros((len(self.reps), self.size), dtype=bool)
+        for e, img in self._images(self.reps):
+            stab[:, e] = img == self.reps
+        self.orbit = self.size / stab.sum(axis=1)
+        # character -> which representatives are in its sector
+        self.members = {(c1, c2): ~(stab & (self._chi((c1, c2)) != 1.0)).any(axis=1)
+                        for c1 in range(o1) for c2 in range(o2)}
+        # the nonzeros in columns at representatives: (row's representative,
+        # row's element, column's representative, value)
+        k = np.flatnonzero(self.reps[self.rep_of[cols]] == cols)
+        self.nz = (self.rep_of[rows[k]], self.best[rows[k]], self.rep_of[cols[k]], vals[k])
+
+    def _images(self, start: np.ndarray):
+        """(e, image of ``start`` under element e) for every element e."""
+        maps = [g for _, _, g in self.gens]
+        (o1, o2), outer = self.orders, start
+        for b in range(o2):
+            img = outer
+            for a in range(o1):
+                yield a + o1 * b, img
+                if a + 1 < o1:
+                    img = maps[0][img]
+            if b + 1 < o2:
+                outer = maps[1][outer]
+
+    def _chi(self, c) -> np.ndarray:
+        """chi_c of every element, a product of one root per generator, so
+        exactly +-1 where it is real and exactly negated by the flip."""
+        (o1, o2), (c1, c2) = self.orders, c
+        return np.outer([_root(b * c2, o2) for b in range(o2)], [_root(a * c1, o1) for a in range(o1)]).ravel()
+
+    def order(self, c) -> int:
+        return int(self.members[c].sum())
+
+    def is_real(self, c) -> bool:
+        """True when the block of sector c is real: H and chi_c are."""
+        return self.real and not self._chi(c).imag.any()
+
+    def twin(self, c) -> tuple[int, int] | None:
+        """For a real H, the other character whose block is the complex
+        conjugate of c's, with the same eigenvalues; else None."""
+        conj = (-c[0] % self.orders[0], c[1])
+        return conj if self.real and conj != c else None
+
+    def block(self, c) -> np.ndarray:
+        """The sector block of character c, added up with ``_sums``."""
+        member, m = self.members[c], self.order(c)
+        chi = self._chi(c)
+        if self.is_real(c):
+            chi = chi.real
+        loc = np.cumsum(member) - 1
+        s, e, r, h = self.nz
+        keep = member[s] & member[r]
+        s, e, r, h = s[keep], e[keep], r[keep], h[keep]
+        w = h * chi[e] * np.sqrt(self.orbit[r] / self.orbit[s])
+        flat = loc[s] * m + loc[r]
+        return _sums(flat, w, m * m).reshape(m, m)
+
+    def lift(self, c, u: np.ndarray) -> np.ndarray:
+        """The d^p-vector of the sector-c coefficients ``u``."""
+        member, j = self.members[c], self.rep_of
+        chi = np.conj(self._chi(c))
+        if np.isrealobj(u):
+            chi = chi.real
+        loc = np.cumsum(member) - 1
+        return np.where(member[j], u[loc[j]] * chi[self.best] / np.sqrt(self.orbit[j]), 0.0)
+
+    def characters(self, c) -> dict[str, int]:
+        return {name: cj if name == "momentum" else 1 - 2 * cj for (name, _, _), cj in zip(self.gens, c)}
+
+
+def _solve_sectors(spec: HamiltonianSpec, vector: bool):
+    """Every eigenvalue of the model, ascending, the sector sizes and, with
+    ``vector``, (ground vector, its sector's characters, residual, ||h||_F).
+
+    ``eigvalsh`` runs on every sector block, but for a real H on only one of
+    each conjugate pair (momenta k and -k), whose values count twice; ``eigh``
+    runs on the block holding the lowest value alone.  Its vector is lifted,
+    phase-fixed like ``eigh``'s, and for a real H made real (the real part of
+    a ground space vector is one too); its residual comes from the nonzeros.
+    The guards: nonzeros and index arrays before they are built, and with
+    them ``_EIGH_ARRAYS`` (``_EIGVALSH_ARRAYS`` without ``vector``) matrices
+    of the largest block before any block is.
+    """
+    n = spec.d**spec.p
+    rows, cols, vals = _nonzeros(spec, _INDEX_BYTES)
+    sectors = _Sectors(spec, rows, cols, vals)
+    order, c = max((sectors.order(c), c) for c in sectors.members)
+    arrays = _EIGH_ARRAYS if vector else _EIGVALSH_ARRAYS
+    nbytes = _nonzero_bytes(spec, _INDEX_BYTES)[1] + arrays * (8 if sectors.is_real(c) else 16) * order**2
+    require_bytes(nbytes, f"the sector solve of dimension {n}, largest block {order}, needs {nbytes} bytes")
+    values, lowest = [], None
+    for c in sectors.members:
+        twin = sectors.twin(c)
+        if sectors.order(c) == 0 or (twin and twin < c):  # empty, or solved as its twin
+            continue
+        w = np.linalg.eigvalsh(sectors.block(c))
+        values += [w, w] if twin else [w]
+        if lowest is None or w[0] < lowest[0]:
+            lowest = (w[0], c)
+    values = np.sort(np.concatenate(values))
+    sizes = tuple(m for m in map(sectors.order, sectors.members) if m)
+    if not vector:
+        return values, sizes, None
+    c = lowest[1]
+    u = eigh(sectors.block(c)).vectors[:, 0].copy()  # not a view that keeps all vectors
+    vec = sectors.lift(c, u.real if sectors.is_real(c) else u).astype(np.complex128)
     _fix_phases(vec[:, None], None)
-    return np.sort(np.concatenate([plus.values, minus.values])), vec, sizes
+    if sectors.real and vec.imag.any():
+        vec = (vec.real / frob(vec.real)).astype(np.complex128)
+    vec += 0.0  # turns the -0.0 that a phase of -1 leaves on zeros into 0.0
+    residual = frob(_sums(rows, vals * vec[cols], n) - values[0] * vec)  # h v from the nonzeros
+    return values, sizes, (vec, sectors.characters(c), residual, frob(vals))
 
 
 def ground_state(spec: HamiltonianSpec) -> SpectrumReport:
-    """Full spectrum plus the lowest eigenpair of a model, within the solve's byte guard.
-
-    The spectrum comes from the B +- JC blocks when the assembled matrix
-    allows the split exactly (see the module docstring), else from one full
-    ``eigh``; the ground vector has ``eigh``'s phase convention either way.
-    Raises ``ResidualError`` when the eigenpair misses its residual bound
-    against the full matrix.
+    """Full spectrum plus the lowest eigenpair of a model, from its symmetry
+    sectors (``_solve_sectors``); the ground vector has ``eigh``'s phase
+    convention.  Raises ``ResidualError`` when the eigenpair misses its
+    residual bound against the full matrix.
     """
-    n = spec.d**spec.p  # _solve's guard on a float64 h, before assembly; _solve checks a complex h
-    nbytes = _SOLVE_ARRAYS * 8 * n * n
-    require_bytes(nbytes, f"full eigendecomposition of dimension {n} needs {nbytes} bytes")
-    h = _assemble(spec, real=True)
-    values, vec, sizes = _solve(h)
+    values, sizes, (vec, sector, residual, norm) = _solve_sectors(spec, vector=True)
     gap = float(values[1] - values[0]) if len(values) > 1 else 0.0
-    # h @ vec would copy a float64 h to complex128; row blocks give the same
-    # bits unless one is a lone row of several (numpy's plain dot), which an
-    # even split into ~32-row blocks never makes
-    hv = np.concatenate([b.astype(np.complex128) @ vec for b in np.array_split(h, -(-len(h) // 32))])
-    residual = frob(hv - values[0] * vec)
-    bound = max(EPS_LIN * frob(h) * 10, 1e-9)
+    bound = max(EPS_LIN * norm * 10, 1e-9)
     if not residual <= bound:  # also rejects a NaN residual
         raise ResidualError(f"ground eigenpair residual {residual:.3e} exceeds its bound {bound:.3e}")
     return SpectrumReport(values=values, ground_energy=float(values[0]), ground_vector=vec, gap=gap,
-                          sector_sizes=sizes, residual=residual)
+                          sector_sizes=sizes, residual=residual, ground_sector=sector)

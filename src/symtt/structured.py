@@ -11,11 +11,13 @@ blocks B + JC and B - JC, ``_lift`` takes their eigenvectors back to full
 order, ``BlockPair.q`` is built when read, and circulant spectra are an FFT.
 
 ``classify`` decides every structure flag, and returns the residual behind
-each, in one pass over blocks of 32 rows.  A float64 input stays float64
-(a real Hamiltonian is assembled that way), and a complex one whose
-imaginary part is exactly zero is checked through its float64 view; the
-results are the same either way.  The pass needs O(32 n) temporaries.  The
-symmetry and omega-circulant checks of the transforms use the same pass.
+each, in one pass over blocks of 32 rows.  A float64 input stays float64,
+and a complex one whose imaginary part is exactly zero is checked through
+its float64 view; the results are the same either way.  The pass needs
+O(32 n) temporaries, and reads only the blocks it is given:
+``hamiltonian.certify_structure`` feeds it blocks scattered from a model's
+nonzeros, with no n x n matrix.  The symmetry and omega-circulant checks of
+the transforms use the same pass.
 """
 
 from __future__ import annotations
@@ -134,33 +136,43 @@ _BLOCK_RESIDUALS = {
 }
 
 
-def _residual_norms(m: np.ndarray, names, omega=None) -> dict[str, float]:
-    """Frobenius norm of each named structure residual of the square ``m``.
-
-    The names are those of ``_FLAG_NAMES`` and ``"omega"`` (m minus the
-    omega-circulant of its first row).  One pass over blocks of
-    ``_BLOCK_ROWS`` rows adds up every squared residual; its only gather is a
-    contiguous copy of the block's columns, and the flipped, Toeplitz and
-    circulant rows are views.  Extra memory is O(_BLOCK_ROWS * n); a float64
-    ``m`` is read as it is, and a complex128 one whose imaginary part is
-    exactly zero through its float64 view, with the same norms.
-    """
+def _dense_views(m: np.ndarray):
+    """First row, first column and row blocks of a dense square ``m`` for
+    ``_residual_norms``: a complex128 ``m`` whose imaginary part is exactly
+    zero is read through its float64 view, every block row is a view, and
+    each block's columns are one contiguous copy."""
     if np.iscomplexobj(m) and not m.imag.any():
         m = m.real
-    n, r = m.shape[0], m[0]
+    mjj = _flip2(m)
+    blocks = ((i, m[i : i + _BLOCK_ROWS], m[:, i : i + _BLOCK_ROWS].T.copy(), mjj[i : i + _BLOCK_ROWS])
+              for i in range(0, len(m), _BLOCK_ROWS))
+    return m[0], m[:, 0], blocks
+
+
+def _residual_norms(r: np.ndarray, c: np.ndarray, blocks, names, omega=None) -> dict[str, float]:
+    """Frobenius norm of each named structure residual of a square matrix m,
+    given its first row ``r``, first column ``c`` and ``blocks``.
+
+    The names are those of ``_FLAG_NAMES`` and ``"omega"`` (m minus the
+    omega-circulant of its first row).  ``blocks`` yields, for consecutive
+    blocks of rows from row i on, (i, rows of m, the same rows of m^T, the
+    same rows of J m J), as dense arrays of equal shape; ``_dense_views``
+    gives them for a dense m, ``hamiltonian.certify_structure`` scatters
+    them from a model's nonzeros.  One pass over the blocks adds up every
+    squared residual; the Toeplitz and circulant rows are views of bands
+    built from r and c.  The norms depend only on the blocks' values, so
+    equal blocks give bit-identical norms however they were made.
+    """
     bands = {
-        "toeplitz": _toeplitz_band(r, m[:, 0]),
+        "toeplitz": _toeplitz_band(r, c),
         "circulant": _omega_band(r, 1.0),
         "skew_circulant": _omega_band(r, -1.0),
     }
     if omega is not None:
         bands["omega"] = _omega_band(r, omega)
-    mjj = _flip2(m)
     sums = dict.fromkeys(names, 0.0)
-    for i in range(0, n, _BLOCK_ROWS):
-        blk = slice(i, i + _BLOCK_ROWS)
-        a, jaj = m[blk], mjj[blk]
-        at = m[:, blk].T.copy()  # the block's rows of m^T
+    for i, a, at, jaj in blocks:
+        blk = slice(i, i + len(a))
         for name in names:
             if name in bands:
                 res = a - bands[name][blk]
@@ -173,11 +185,11 @@ def _residual_norms(m: np.ndarray, names, omega=None) -> dict[str, float]:
     return {name: math.sqrt(s) for name, s in sums.items()}
 
 
-def _estimate_omega(a: np.ndarray, thresh: float) -> complex | None:
-    """Ratio a[k, 0] / a[0, n - k] of a wrapped entry to its first-row
-    partner, at the first k with the largest |a[0, n - k]| above ``thresh``;
-    None if there is no such k."""
-    wrapped = a[0, :0:-1]  # a[0, n - k] for k = 1 .. n - 1
+def _estimate_omega(r: np.ndarray, c: np.ndarray, thresh: float) -> complex | None:
+    """Ratio c[k] / r[n - k] of a wrapped entry a[k, 0] to its first-row
+    partner a[0, n - k], at the first k with the largest |r[n - k]| above
+    ``thresh``; None if there is no such k."""
+    wrapped = r[:0:-1]  # a[0, n - k] for k = 1 .. n - 1
     if len(wrapped) == 0:
         return None
     # np.hypot rounds like the scalar abs; np.abs(complex) may differ in the
@@ -186,8 +198,8 @@ def _estimate_omega(a: np.ndarray, thresh: float) -> complex | None:
     k = int(np.argmax(mags)) + 1
     if mags[k - 1] <= thresh:
         return None
-    # a complex division, also for float64 ``a``: it rounds unlike a / b
-    return np.complex128(a[k, 0]) / wrapped[k - 1]
+    # a complex division, also for float64 entries: it rounds unlike a / b
+    return np.complex128(c[k]) / wrapped[k - 1]
 
 
 def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
@@ -202,11 +214,18 @@ def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         return StructureFlags()
-    thresh = tol * frob(m)
-    cand = _estimate_omega(m, thresh)
+    return _classify(*_dense_views(m), frob(m), tol)
+
+
+def _classify(r: np.ndarray, c: np.ndarray, blocks, norm: float, tol: float) -> StructureFlags:
+    """``classify`` of the square matrix with first row ``r``, first column
+    ``c``, residual blocks ``blocks`` (see ``_residual_norms``) and
+    Frobenius norm ``norm``."""
+    thresh = tol * norm
+    cand = _estimate_omega(r, c, thresh)
     if cand is not None and abs(abs(cand) - 1.0) > max(tol, 1e-8):
         cand = None
-    res = _residual_norms(m, _FLAG_NAMES if cand is None else (*_FLAG_NAMES, "omega"), cand)
+    res = _residual_norms(r, c, blocks, _FLAG_NAMES if cand is None else (*_FLAG_NAMES, "omega"), cand)
     flags = {name: res[name] <= thresh for name in _FLAG_NAMES}
 
     omega: complex | None = None
@@ -230,7 +249,7 @@ def persym_split(a) -> tuple[np.ndarray, np.ndarray]:
     """
     m = as_cmatrix(a)
     square = m.shape[0] == m.shape[1]
-    if not square or _residual_norms(m, ("symmetric",))["symmetric"] > EPS_STRUCT * frob(m):
+    if not square or _residual_norms(*_dense_views(m), ("symmetric",))["symmetric"] > EPS_STRUCT * frob(m):
         raise NotSymmetricError("persym_split requires a symmetric square matrix")
     p = 0.5 * (m + _flip2(m))
     s = m - p
@@ -243,7 +262,7 @@ def _require_sym_persym(m: np.ndarray, caller: str, real: bool = False) -> int:
     if m.shape[0] != m.shape[1]:
         raise NotSymPersymError(f"expected a square matrix, got shape {m.shape}")
     thresh = EPS_STRUCT * frob(m)
-    if max(_residual_norms(m, ("symmetric", "centrosymmetric")).values()) > thresh:
+    if max(_residual_norms(*_dense_views(m), ("symmetric", "centrosymmetric")).values()) > thresh:
         raise NotSymPersymError("matrix is not symmetric persymmetric")
     if real and frob(m.imag) > thresh:
         raise NotSymPersymError("matrix is not real")
@@ -349,7 +368,7 @@ def omega_to_circulant(c, omega: complex) -> tuple[np.ndarray, np.ndarray]:
         raise NotOmegaCirculantError(f"expected a square matrix, got shape {m.shape}")
     if not abs(abs(omega) - 1.0) <= 1e-8:
         raise NotOmegaCirculantError(f"omega must have unit modulus, got |omega|={abs(omega):g}")
-    if _residual_norms(m, ("omega",), omega)["omega"] > EPS_STRUCT * frob(m):
+    if _residual_norms(*_dense_views(m), ("omega",), omega)["omega"] > EPS_STRUCT * frob(m):
         raise NotOmegaCirculantError("matrix does not match the omega-circulant pattern")
     root = np.exp(1j * np.angle(omega) / n)
     phases = root ** np.arange(n)

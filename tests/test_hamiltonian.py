@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,9 @@ from symtt import (
     pauli,
     spin1,
 )
-from symtt import hamiltonian, linalg
-from symtt.errors import BadParamsError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _assemble, _solve
+from symtt import hamiltonian, linalg, symmetry
+from symtt.errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
+from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _nonzeros, _solve_sectors
 from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob, kron_chain
 
 from conftest import dense_reference, random_complex
@@ -354,23 +355,34 @@ def real_model_specs(draw):
     return model(name, p, params, draw(st.sampled_from(("open", "periodic"))))
 
 
+def _scattered(spec) -> np.ndarray:
+    """The nonzeros of ``_nonzeros`` scattered into zeros of their dtype."""
+    rows, cols, vals = _nonzeros(spec)
+    h = np.zeros((spec.d**spec.p,) * 2, dtype=vals.dtype)
+    h[rows, cols] = vals
+    return h
+
+
 @settings(max_examples=60, deadline=None)
 @given(real_model_specs())
 def test_real_assembly_matches_complex_property(spec):
-    """The float64 path assembles the real part of ``assemble`` bit for bit,
-    and classify and eigh give the same results on it as on the complex
-    matrix."""
+    """The nonzeros of a model with exactly real term values are float64 and
+    scatter into the real part of ``assemble`` bit for bit; classify and eigh
+    give the same results on that real matrix as on the complex one, and
+    certify_structure the same as classify."""
     hc = assemble(spec)
-    hr = _assemble(spec, real=True)
+    hr = _scattered(spec)
     assert hc.dtype == np.complex128 and hr.dtype == np.float64
     assert hr.tobytes() == hc.real.tobytes()
     fr, fc = classify(hr), classify(hc)
     assert fr == fc and fr.omega == fc.omega and fr.residuals == fc.residuals
+    fs = certify_structure(spec)
+    assert fs == fc and fs.omega == fc.omega and fs.residuals == fc.residuals
     er, ec = eigh(hr), eigh(hc)
     assert er.values.tobytes() == ec.values.tobytes()
     assert er.vectors.dtype == np.complex128 and er.vectors.tobytes() == ec.vectors.tobytes()
     hy = model("hy", spec.p, boundary=spec.boundary)
-    assert _assemble(hy, real=True).tobytes() == assemble(hy).tobytes()
+    assert _scattered(hy).tobytes() == assemble(hy).tobytes()
 
 
 def test_classify_reads_a_real_complex_matrix_without_a_copy():
@@ -387,19 +399,6 @@ def test_classify_reads_a_real_complex_matrix_without_a_copy():
     assert peak < 8 * n * n
 
 
-def test_real_assembly_guard_counts_eight_bytes_per_entry(monkeypatch):
-    # p = 4: 256 entries are 2048 bytes in float64 and 4096 in complex128
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2048)
-    assert _assemble(model("hx", 4), real=True).dtype == np.float64
-    with pytest.raises(TooLargeError, match=r"^dense assembly of dimension 16 needs 4096 bytes, over"):
-        _assemble(model("hy", 4), real=True)
-    with pytest.raises(TooLargeError, match=r"^dense assembly of dimension 16 needs 4096 bytes, over"):
-        assemble(model("hx", 4))
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2047)
-    with pytest.raises(TooLargeError, match=r"^dense assembly of dimension 16 needs 2048 bytes, over"):
-        _assemble(model("hx", 4), real=True)
-
-
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -410,28 +409,27 @@ def _traced_peak(call):
 
 
 def test_certify_structure_never_forms_a_complex_matrix():
-    """heis_xxz at p = 11 is checked in float64: the traced peak stays below
-    the 16 dim^2 bytes of one complex128 n x n array.  hy starts over in
-    complex128 without holding the float64 matrix too."""
+    """heis_xxz at p = 11 and the complex hy at p = 10 are certified from
+    their nonzeros: the traced peak stays below the 16 dim^2 bytes of one
+    complex128 n x n array."""
     spec = model("heis_xxz", 11, {"jx": 0.9, "jz": 1.3, "lam": 0.7}, "periodic")
     flags, peak = _traced_peak(lambda: certify_structure(spec))
     assert flags.symmetric and flags.persymmetric
     assert peak < 16 * 4**11
-    h, peak = _traced_peak(lambda: _assemble(model("hy", 10), real=True))
-    assert h.dtype == np.complex128
-    assert peak < 1.25 * 16 * 4**10
+    flags, peak = _traced_peak(lambda: certify_structure(model("hy", 10)))
+    assert flags.hermitian and flags.skew_symmetric
+    assert peak < 16 * 4**10
 
 
 def test_ground_state_residual_matches_complex_matvec(rng):
-    # dimensions 33 and 65 leave one row over 32-row blocks, which numpy
-    # multiplies as a dot product with other rounding; the residual of the
-    # float64 path must still equal the complex h @ v one bit for bit
+    # one dense site of dimension 33 or 65, no symmetry: the residual summed
+    # from the nonzeros is the complex h @ v one to within 1e-12 ||h||_F
     for d in (33, 65):
         a = rng.standard_normal((d, d))
         spec = HamiltonianSpec(p=1, d=d, boundary="open", terms=(LocalTermSpec(1.0, (a + a.T,)),))
         rep = ground_state(spec)
         h, v = assemble(spec), rep.ground_vector
-        assert rep.residual == frob(h @ v - rep.ground_energy * v)
+        assert abs(rep.residual - frob(h @ v - rep.ground_energy * v)) <= 1e-12 * frob(h)
 
 
 def test_ground_state_hx_p2():
@@ -459,96 +457,146 @@ def test_ground_state_ising_oracle():
     assert min(np.linalg.norm(j @ v - v), np.linalg.norm(j @ v + v)) < 1e-8
 
 
+#: the guards of the sector solve of hx at p = 4 on an open chain: 64 term
+#: nonzeros and 16 basis states first, then on top the largest sector block,
+#: of order 6 (mirror and flip sectors of orders 6, 4, 2 and 4), in float64
+_HX4_FIRST = hamiltonian._NONZERO_BYTES * 64 + hamiltonian._INDEX_BYTES * 16
+
+
 def test_ground_state_guard(monkeypatch):
-    # p = 4 (n = 16): the eigenvector solve's guard counts _SOLVE_ARRAYS
-    # matrices of h's dtype, float64 for hx and complex128 for hy
-    nbytes = hamiltonian._SOLVE_ARRAYS * 8 * 16 * 16
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes)
+    # with eigenvectors the block guard counts _EIGH_ARRAYS blocks; hy's
+    # largest block (order 10 of 10 + 6, complex128) needs more
+    blocks = _HX4_FIRST + hamiltonian._EIGH_ARRAYS * 8 * 6 * 6
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks)
     assert ground_state(model("hx", 4)).ground_vector.shape == (16,)
-    with pytest.raises(TooLargeError, match=rf"^full eigendecomposition of dimension 16 needs {2 * nbytes} bytes, over"):
+    hy_blocks = _HX4_FIRST + hamiltonian._EIGH_ARRAYS * 16 * 10 * 10
+    with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 10, needs {hy_blocks} bytes, over"):
         ground_state(model("hy", 4))
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
-    with pytest.raises(TooLargeError, match=rf"^full eigendecomposition of dimension 16 needs {nbytes} bytes, over"):
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks - 1)
+    with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 6, needs {blocks} bytes, over"):
         ground_state(model("hx", 4))
 
 
 def test_ground_state_refuses_before_it_assembles(monkeypatch):
-    # one byte below the hx p = 4 solve guard: refused with _solve's message,
-    # and the matrix is never assembled
-    nbytes = hamiltonian._SOLVE_ARRAYS * 8 * 16 * 16
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
+    # one byte below the first guard: refused with its message, and no
+    # term's nonzeros are ever built
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", _HX4_FIRST - 1)
 
-    def no_assembly(spec, real):
-        raise AssertionError("assembled past the solve guard")
+    def no_nonzeros(factors, ident):
+        raise AssertionError("built nonzeros past the guard")
 
-    monkeypatch.setattr(hamiltonian, "_assemble", no_assembly)
-    with pytest.raises(TooLargeError, match=rf"^full eigendecomposition of dimension 16 needs {nbytes} bytes, over"):
+    monkeypatch.setattr(hamiltonian, "_term_nonzeros", no_nonzeros)
+    with pytest.raises(TooLargeError, match=rf"^64 term nonzeros and 16 basis states need {_HX4_FIRST} bytes, over"):
         ground_state(model("hx", 4))
 
 
 def test_spectrum_guard(monkeypatch):
-    # p = 4 (n = 16): eigenvalues alone guard _SPECTRUM_ARRAYS matrices of h's
-    # dtype, float64 for hx and complex128 for hy
-    nbytes = hamiltonian._SPECTRUM_ARRAYS * 8 * 16 * 16
-    hx, hy = (_assemble(model(name, 4), real=True) for name in ("hx", "hy"))
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes)
-    assert _solve(hx, lowest=False)[0].shape == (16,)
-    with pytest.raises(TooLargeError, match=rf"^eigenvalue solve of dimension 16 needs {2 * nbytes} bytes, over"):
-        _solve(hy, lowest=False)
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
-    with pytest.raises(TooLargeError, match=rf"^eigenvalue solve of dimension 16 needs {nbytes} bytes, over"):
-        _solve(hx, lowest=False)
+    # eigenvalues alone guard _EIGVALSH_ARRAYS blocks of the largest sector
+    blocks = _HX4_FIRST + hamiltonian._EIGVALSH_ARRAYS * 8 * 6 * 6
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks)
+    assert _solve_sectors(model("hx", 4), vector=False)[0].shape == (16,)
+    hy_blocks = _HX4_FIRST + hamiltonian._EIGVALSH_ARRAYS * 16 * 10 * 10
+    with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 10, needs {hy_blocks} bytes, over"):
+        _solve_sectors(model("hy", 4), vector=False)
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks - 1)
+    with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 6, needs {blocks} bytes, over"):
+        _solve_sectors(model("hx", 4), vector=False)
+
+
+def _guard_sizes(call) -> list[int]:
+    """The bytes of every guard ``call`` checks, in order: each limit one
+    byte below the last refusal's bytes is raised to those bytes, until the
+    call passes."""
+    sizes, saved = [], linalg.MAX_DENSE_BYTES
+    try:
+        while True:
+            linalg.MAX_DENSE_BYTES = sizes[-1] if sizes else 0
+            try:
+                call()
+                return sizes
+            except TooLargeError as exc:
+                sizes.append(int(re.search(r" needs? (\d+) bytes", str(exc)).group(1)))
+    finally:
+        linalg.MAX_DENSE_BYTES = saved
 
 
 def test_spectrum_peak_is_within_its_guard():
-    # h itself counts toward the guard; the split (hx), whole real (hz) and
-    # complex (hy) eigenvalue solves
+    # the traced peak of the eigenvalue solve stays within its last guard,
+    # which counts the nonzeros and index arrays as well as the blocks
     for name in ("hx", "hz", "hy"):
         for p in (7, 8):
-            h = _assemble(model(name, p), real=True)
-            tracemalloc.start()
-            try:
-                _solve(h, lowest=False)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert h.nbytes + peak <= hamiltonian._SPECTRUM_ARRAYS * h.itemsize * h.size, (name, p)
+            for boundary in ("open", "periodic"):
+                spec = model(name, p, boundary=boundary)
+                guard = _guard_sizes(lambda: _solve_sectors(spec, vector=False))[-1]
+                _, peak = _traced_peak(lambda: _solve_sectors(spec, vector=False))
+                assert peak <= guard, (name, p, boundary)
 
 
 def test_solve_peak_is_within_its_guard():
-    # the B +- JC split (hx), a whole real solve (hz) and a complex one (hy)
+    # the same for the ground state, eigenvectors, lift and residual included
     for name in ("hx", "hz", "hy"):
         for p in (7, 8):
-            h = _assemble(model(name, p), real=True)
+            for boundary in ("open", "periodic"):
+                spec = model(name, p, boundary=boundary)
+                guard = _guard_sizes(lambda: ground_state(spec))[-1]
+                _, peak = _traced_peak(lambda: ground_state(spec))
+                assert peak <= guard, (name, p, boundary)
+
+
+def test_ham_verbs_refuse_before_they_allocate(monkeypatch):
+    """One byte below each guard of ground_state, the eigenvalue solve and
+    certify_structure, the call raises TooLargeError having traced less than
+    the limit."""
+    spec = model("heis_xxz", 11, {"jx": 0.9, "jz": 1.3, "lam": 0.7}, "periodic")
+    calls = {
+        "ground_state": lambda: ground_state(spec),
+        "spectrum": lambda: _solve_sectors(spec, vector=False),
+        "certify_structure": lambda: certify_structure(spec),
+    }
+    for what, call in calls.items():
+        sizes = _guard_sizes(call)
+        assert len(sizes) == (1 if what == "certify_structure" else 2), what
+        for nbytes in sizes:
+            monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
             tracemalloc.start()
             try:
-                _solve(h)
+                with pytest.raises(TooLargeError, match=rf"needs? {nbytes} bytes"):
+                    call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= hamiltonian._SOLVE_ARRAYS * h.itemsize * h.size, (name, p)
+            assert peak < nbytes - 1, (what, nbytes, peak)
+
+
+def test_ham_verbs_peak_below_a_quarter_of_the_dense_matrix():
+    # heis_xxz at p = 11 on a ring: 8 MiB is a quarter of one float64 n x n
+    spec = model("heis_xxz", 11, {"jx": 0.9, "jz": 1.3, "lam": 0.7}, "periodic")
+    for call in (lambda: ground_state(spec), lambda: _solve_sectors(spec, vector=False),
+                 lambda: certify_structure(spec)):
+        _, peak = _traced_peak(call)
+        assert peak < 8 * 4**11 / 4
 
 
 def test_ground_state_residual_check(monkeypatch):
-    # ground_state's solver calls hamiltonian.eigh on the B +- JC blocks for
-    # hx and on the whole matrix for hy; wrong vectors must trip the check
-    # against the full h on both paths
+    # ground_state calls hamiltonian.eigh on the ground sector's block alone:
+    # order 2 for hx (mirror +1, flip +1) and 3 for hy (mirror +1); wrong
+    # vectors must trip the check against the full h
     def wrong_eigh(h):
         orders.append(len(h))
         values = np.linalg.eigvalsh(h)
         return EighResult(values, np.eye(len(values), dtype=np.complex128))
 
     monkeypatch.setattr("symtt.hamiltonian.eigh", wrong_eigh)
-    for name, want in (("hx", [2, 2]), ("hy", [4])):
+    for name, want in (("hx", [2]), ("hy", [3])):
         orders = []
         with pytest.raises(ResidualError, match=r"residual .* exceeds its bound"):
             ground_state(model(name, 2))
         assert orders == want
 
 
-def _split_expected(spec) -> bool:
-    """Spin-1/2 models but hy (complex) and hz (odd under the global flip)."""
-    return spec.d == 2 and spec.name not in ("hy", "hz")
+def _flip_expected(spec) -> bool:
+    """Every model but hy and hz (odd under the global flip) has it."""
+    return spec.name not in ("hy", "hz")
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -567,28 +615,85 @@ def test_ground_state_matches_dense_eigh(name):
                 rep = ground_state(spec)
                 scale = max(1.0, np.abs(want_w).max())
                 dim = len(want_w)
-                split = _split_expected(spec)
-                assert rep.sector_sizes == ((dim // 2, dim // 2) if split else (dim,))
+                assert sum(rep.sector_sizes) == dim
+                assert ("flip" in rep.ground_sector) == _flip_expected(spec)
                 assert np.max(np.abs(rep.values - want_w)) <= 1e-12 * scale
                 assert rep.ground_energy == rep.values[0]
                 if dim > 1:
                     assert abs(rep.gap - (want_w[1] - want_w[0])) <= 1e-12 * scale
                 v = rep.ground_vector
-                assert rep.residual == frob(h @ v - rep.ground_energy * v)
+                assert abs(rep.residual - frob(h @ v - rep.ground_energy * v)) <= 1e-12 * frob(h)
                 assert rep.residual <= max(10 * EPS_LIN * frob(h), 1e-9)
-                values, no_vector, sizes = _solve(h, lowest=False)
+                values, sizes, no_vector = _solve_sectors(spec, vector=False)
                 assert no_vector is None and sizes == rep.sector_sizes
-                assert np.max(np.abs(values - want_w)) <= 1e-12 * scale
-                # the float64 assembly ham spectrum solves
-                values, _, sizes = _solve(_assemble(spec, real=True), lowest=False)
-                assert sizes == rep.sector_sizes
-                assert np.max(np.abs(values - want_w)) <= 1e-12 * scale
+                assert np.max(np.abs(values - np.linalg.eigvalsh(h))) <= 1e-12 * scale
+                if name != "hy":  # real models get real vectors, written with "0", never "-0"
+                    assert not v.imag.any() and not np.signbit(v.imag).any()
                 if dim > 1 and rep.gap > 1e-8:
                     assert abs(abs(np.vdot(want_v[:, 0], v)) - 1.0) <= 1e-10
                     z = v[np.argmax(np.abs(v))]
                     assert abs(z.imag) < 1e-13 and z.real > 0
-                    if split:  # (u; +-Ju)/sqrt(2) is exactly J-even or J-odd
-                        assert np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v)
+                    if "flip" in rep.ground_sector:  # lifted exactly J-even or J-odd
+                        assert np.array_equal(v[::-1], rep.ground_sector["flip"] * v)
+
+
+def test_sector_solve_refuses_a_non_hermitian_model():
+    # a raising operator is refused; a term list whose sum is Hermitian
+    # although its nonzeros are not placed symmetrically (an entry that
+    # cancels to 0.0 without a transposed partner) is solved
+    up = np.array([[0.0, 1.0], [0.0, 0.0]])
+    spec = HamiltonianSpec(p=1, d=2, boundary="open", terms=(LocalTermSpec(1.0, (up,)),))
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        ground_state(spec)
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        _solve_sectors(spec, vector=False)
+    terms = (LocalTermSpec(1.0, (up,)), LocalTermSpec(-1.0, (up,)), LocalTermSpec(1.0, (pauli("z").real,)))
+    rep = ground_state(HamiltonianSpec(p=1, d=2, boundary="open", terms=terms))
+    assert rep.values.tolist() == [-1.0, 1.0]
+
+
+def test_certify_from_nonzeros_matches_classify():
+    """certify_structure against classify of the assembled matrix: equal
+    flags and omega, bit-identical residuals, for every model on both
+    boundaries at p <= 8 (p <= 5 for spin-1), default and seeded couplings."""
+    rng = np.random.default_rng(1301)
+    for name in MODEL_NAMES:
+        p_max = 8 if name not in ("aklt", "bilinear_biquadratic") else 5
+        for p in range(1, p_max + 1):
+            for boundary in ("open", "periodic"):
+                for params in (None, {k: float(rng.uniform(-1.5, 1.5)) for k in ("jx", "jy", "jz", "lam", "theta")}):
+                    spec = model(name, p, params, boundary)
+                    got, want = certify_structure(spec), classify(assemble(spec))
+                    assert got == want and got.omega == want.omega, (name, p, boundary, params)
+                    assert got.residuals == want.residuals, (name, p, boundary, params)
+
+
+def test_ground_sector_matches_detected_symmetries():
+    """The reported sector of every gapped table model at p <= 10 agrees with
+    the symmetries detected on its ground vector: momentum 0 iff shift
+    invariant, flip +-1 iff bitflip+-, mirror +1 iff reverse (open chains)."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for name in TABLE_MODELS:
+        for p in range(2, 11):
+            for boundary in ("open", "periodic"):
+                params = {k: float(rng.uniform(0.5, 1.5)) for k in ("jx", "jy", "jz", "lam")}
+                rep = ground_state(model(name, p, params, boundary))
+                if rep.gap <= 1e-8:
+                    continue
+                checked += 1
+                found = symmetry.detect_vector_symmetries(rep.ground_vector)
+                sector = rep.ground_sector
+                assert set(sector) == ({"momentum", "flip"} if boundary == "periodic" else {"mirror", "flip"})
+                assert ("bitflip+" in found) == (sector["flip"] == 1) and ("bitflip-" in found) == (sector["flip"] == -1)
+                if boundary == "periodic":
+                    assert sector["momentum"] in (0, p // 2 if p % 2 == 0 else 0)
+                    assert ("bitshift" in found) == (sector["momentum"] == 0)
+                    v = rep.ground_vector
+                    assert np.allclose(symmetry.shifted(v), np.exp(2j * np.pi * sector["momentum"] / p) * v, atol=1e-10)
+                else:
+                    assert ("reverse" in found) == (sector["mirror"] == 1)
+    assert checked > 50
 
 
 def test_ground_vectors_j_symmetry(rng):

@@ -390,6 +390,26 @@ def test_reading_a_vector_holds_its_bytes_and_entries(tmp_path, rng):
     assert peak < size + 16 * 2**p + 2**20, f"read_vec peak {peak} B for a {size} B file"
 
 
+def test_reading_a_crlf_vector_holds_two_copies_of_its_bytes(tmp_path, rng):
+    # CRLF line ends are replaced in the bytes, and the file then takes the
+    # plain path: the same array, at most the file's bytes twice (plus the
+    # 1 MiB of entries), where decoding its text into lines took about 5x
+    p = 16
+    x = random_complex(rng, 2**p)
+    plain, crlf = tmp_path / "x.vec", tmp_path / "crlf.vec"
+    write_vec(plain, x)
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    size = crlf.stat().st_size
+    tracemalloc.start()
+    try:
+        back = read_vec(crlf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, x) and np.array_equal(back, read_vec(plain))
+    assert peak <= 2.5 * size, f"read_vec peak {peak} B for a {size} B CRLF file"
+
+
 def test_codec_keeps_no_copy_of_a_chain_of_distinct_sites(tmp_path, rng):
     # 10 distinct sites of bond 160: 8.2 MB of entries, 20.6 MB of text
     sites = [random_complex(rng, 2, 160, 160) for _ in range(10)]
@@ -746,7 +766,10 @@ def test_cli_writes_the_same_bytes_twice(tmp_path, capsys, x):
     # the TT-SVD verbs and the reverse normal form on a random small input:
     # two runs give the same exit code, stdout, stderr and output file
     if np.any(x):
-        x = x / np.abs(x).max()  # a norm of tiny entries would underflow
+        # a norm of tiny entries would underflow; numpy's complex division by
+        # a subnormal overflows, so each part is divided on its own
+        scale = np.abs(x).max()
+        x = x.real / scale + 1j * (x.imag / scale)
         x = x / np.linalg.norm(x)
     write_vec(tmp_path / "x.vec", x)
     write_vec(tmp_path / "r.vec", symtt.symmetrize_reverse(x))

@@ -5,7 +5,7 @@ from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix,
 from symtt import linalg
 from symtt.errors import NotHermitianError, TooLargeError
 from symtt.fileio import write_mps
-from symtt.hamiltonian import _solve, pauli
+from symtt.hamiltonian import ground_state, pauli
 from symtt.linalg import dagger, frob, rank_from_sigma, require_bytes, split
 
 from conftest import random_complex, random_hermitian
@@ -208,7 +208,7 @@ _ONES = MPSState([np.ones((2, 1, 1))] * 2, boundary="open")
         lambda tmp: ti_construct(_ONES),
         lambda tmp: write_mps(tmp / "m.mps", _ONES),
         lambda tmp: reverse_normal_form(np.ones(4)),
-        lambda tmp: _solve(np.eye(2)),
+        lambda tmp: ground_state(model("hx", 1)),
         lambda tmp: reverse_construct(_ONES),
         lambda tmp: from_vector(np.ones(4)),
     ],
