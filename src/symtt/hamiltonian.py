@@ -10,14 +10,16 @@ certification, and ground-state extraction all operate on this one term form.
 A model becomes numbers only through ``_nonzeros``: each term's nonzeros,
 folded left to right by whole factors as ``np.kron`` multiplies, summed per
 entry in term order, bit-identical to a dense Kronecker fold for any
-factors.  ``assemble`` scatters them into the dense matrix (``ham build``);
-nothing else forms a d^p x d^p matrix.  ``certify_structure`` streams
-32-row blocks of them through ``structured``'s residual pass, and
-``ground_state`` and ``ham spectrum`` solve the symmetry sectors of
-``_Sectors`` (translations or mirror, times the global flip, which is the
-paper's exchange J).  Each path guards its measured peak before it
-allocates: per term nonzero and per basis state before the nonzeros are
-built, and the largest sector block on top before any block is.
+factors, with sums that cancel to 0 dropped.  ``assemble`` scatters them
+into the dense matrix (``ham build``); nothing else forms a d^p x d^p
+matrix.  ``certify_structure`` reads them through ``structured``'s residual
+pass and its ``_nonzero_view``, and ``ground_state`` and ``ham spectrum``
+solve the symmetry sectors of ``_Sectors`` (translations or mirror, times
+the global flip, which is the paper's exchange J), whose generators are
+admitted by comparisons at any scale of the couplings.  Each path guards
+its measured peak before it allocates: per term nonzero and per basis state
+before the nonzeros are built, and the largest sector block on top before
+any block is.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from ._constants import _CHAIN_MODELS, MODEL_NAMES
 from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
 from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
-from .structured import _BLOCK_ROWS, EPS_STRUCT, StructureFlags, _classify
+from .structured import _NONZERO_STATE_BYTES, EPS_STRUCT, StructureFlags, _classify, _nonzero_view
 
 #: bytes per term nonzero held while a model's nonzeros are built and used:
 #: traced peaks 12-57 where terms share entries, 79 (hx) and 119 (the
@@ -38,9 +40,6 @@ from .structured import _BLOCK_ROWS, EPS_STRUCT, StructureFlags, _classify
 _NONZERO_BYTES = 128
 #: bytes per basis state of the sector solve's index arrays and its lift
 _INDEX_BYTES = 128
-#: bytes per basis state of ``certify_structure``'s row blocks: traced peaks
-#: of 3 to 6.2 rows of 32 entries of the nonzeros' dtype
-_CERTIFY_STATE_BYTES = 7 * 16 * _BLOCK_ROWS
 #: m x m matrices of the largest sector block's dtype that ``eigh`` holds on
 #: it (traced peaks up to 3.9, LAPACK's work arrays on top), and eigenvalues alone
 _EIGH_ARRAYS, _EIGVALSH_ARRAYS = 6, 3
@@ -273,8 +272,10 @@ def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, 
 
     Each term's ``_term_nonzeros`` times its coefficient are summed per (row,
     col) in term order from 0.0 (``_sums``), as a dense assembly adds them,
-    so every value is bit for bit that matrix's entry.  The values are
-    float64 when every imaginary part is zero, else complex128.  The guard
+    so every value is bit for bit that matrix's entry.  Sums that cancel to
+    exactly 0 are dropped: a sum from 0.0 is never -0.0, and adding +-0 to a
+    block entry that starts at 0.0 changes nothing.  The values are float64
+    when every imaginary part is zero, else complex128.  The guard
     counts ``_NONZERO_BYTES`` per term nonzero plus the caller's
     ``state_bytes`` per basis state, before anything is built.
     """
@@ -301,8 +302,10 @@ def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, 
         if imag.any():
             out = out.astype(np.complex128)
             out.imag = imag
-    rows, cols = np.divmod(uniq, n)
-    return rows, cols, out
+    del inv
+    nonzero = out != 0
+    rows, cols = np.divmod(uniq[nonzero], n)
+    return rows, cols, out[nonzero]
 
 
 def assemble(spec: HamiltonianSpec) -> np.ndarray:
@@ -384,42 +387,17 @@ def fourier_conjugate(h, p: int) -> np.ndarray:
     return x.reshape(n, n)
 
 
-def _row_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-    """The blocks of ``structured._residual_norms`` for the n x n matrix with
-    these row-major nonzeros: ``_BLOCK_ROWS`` rows of it, of its transpose
-    and of J m J at a time, each scattered into zeros."""
-    by_col = np.argsort(cols, kind="stable")
-    col_starts = np.searchsorted(cols[by_col], np.arange(0, n + _BLOCK_ROWS, _BLOCK_ROWS).clip(max=n))
-    row_starts = np.searchsorted(rows, np.arange(n + 1))
-    for b, i in enumerate(range(0, n, _BLOCK_ROWS)):
-        hi = min(i + _BLOCK_ROWS, n)
-        a, at, jaj = (np.zeros((hi - i, n), dtype=vals.dtype) for _ in range(3))
-        k = slice(row_starts[i], row_starts[hi])
-        a[rows[k] - i, cols[k]] = vals[k]
-        k = by_col[col_starts[b] : col_starts[b + 1]]
-        at[cols[k] - i, rows[k]] = vals[k]
-        k = slice(row_starts[n - hi], row_starts[n - i])  # rows n - hi .. n - 1 - i, reversed in J m J
-        jaj[n - 1 - i - rows[k], n - 1 - cols[k]] = vals[k]
-        yield i, a, at, jaj
-
-
 def certify_structure(spec: HamiltonianSpec, tol: float = EPS_STRUCT) -> StructureFlags:
     """Classify the model's matrix from its nonzeros, with no n x n matrix.
 
-    ``structured._residual_norms`` runs on blocks of rows scattered from
-    ``_nonzeros``, so flags, omega and residuals are those of
+    ``structured._residual_norms`` reads ``_nonzeros`` through
+    ``_nonzero_view``, so flags, omega and residuals are those of
     ``classify(assemble(spec))``; the tolerance scales with the norm of the
     nonzeros.
     """
     require_tol(tol)
-    n = spec.d**spec.p
-    rows, cols, vals = _nonzeros(spec, _CERTIFY_STATE_BYTES)
-    first_row, first_col = np.zeros(n, dtype=vals.dtype), np.zeros(n, dtype=vals.dtype)
-    top = rows == 0
-    first_row[cols[top]] = vals[top]
-    left = cols == 0
-    first_col[rows[left]] = vals[left]
-    return _classify(first_row, first_col, _row_blocks(rows, cols, vals, n), frob(vals), tol)
+    rows, cols, vals = _nonzeros(spec, _NONZERO_STATE_BYTES)
+    return _classify(_nonzero_view(rows, cols, vals, spec.d**spec.p), frob(vals), tol)
 
 
 @dataclass(frozen=True)
@@ -455,8 +433,9 @@ def _maps_onto(rows, cols, vals, n: int, g: np.ndarray | None) -> bool:
     moved_vals = vals[at].conj() if g is None else vals[at]
     covered = np.zeros(len(vals), dtype=bool)
     covered[pos[hit]] = True
-    sq = sum(np.vdot(x, x).real for x in (vals[pos[hit]] - moved_vals[hit], moved_vals[~hit], vals[~covered]))
-    return math.sqrt(sq) <= EPS_LIN * frob(vals)
+    # frob and hypot, not a sum of squares, which under- or overflows at some scales
+    parts = (vals[pos[hit]] - moved_vals[hit], moved_vals[~hit], vals[~covered])
+    return math.hypot(*map(frob, parts)) <= EPS_LIN * frob(vals)
 
 
 def _root(m: int, order: int) -> complex:

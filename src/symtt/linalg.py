@@ -21,6 +21,7 @@ starting the CLI) never loads scipy.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,9 @@ EPS_RANK = 1e-12
 #: the one size limit: bytes of each guarded dense allocation, and of the
 #: entries an MPS1 file holds; compared only in ``require_bytes``
 MAX_DENSE_BYTES = 2**30
+#: a plain norm (a sum of squares) outside this range may have lost squares
+#: to underflow or overflow; ``frob`` and the structure pass then rescale
+_NORM_RANGE = (2.0**-400, 2.0**400)
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -69,8 +73,27 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm at any scale: a plain norm outside ``_NORM_RANGE`` is
+    taken again of ``a`` times 2^-e, e the exponent of its largest real or
+    imaginary part, and scaled back, both exactly."""
+    with np.errstate(over="ignore"):  # taken again below; inf only past float64's range
+        norm = float(np.linalg.norm(a))
+        if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
+            return norm
+        a = np.asarray(a)
+        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+        e = math.frexp(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts))[1]
+        return float(np.ldexp(np.linalg.norm(_ldexp(a, -e)), e)) if e else norm
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """``a`` times 2^e, its real and imaginary parts each by ``np.ldexp``,
+    exact unless an entry leaves the normal range; ``a`` itself for e = 0."""
+    if e == 0 or not np.iscomplexobj(a):
+        return np.ldexp(a, e) if e else a
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
+    return out
 
 
 def require_tol(tol: float) -> None:

@@ -11,13 +11,14 @@ blocks B + JC and B - JC, ``_lift`` takes their eigenvectors back to full
 order, ``BlockPair.q`` is built when read, and circulant spectra are an FFT.
 
 ``classify`` decides every structure flag, and returns the residual behind
-each, in one pass over blocks of 32 rows.  A float64 input stays float64,
-and a complex one whose imaginary part is exactly zero is checked through
-its float64 view; the results are the same either way.  The pass needs
-O(32 n) temporaries, and reads only the blocks it is given:
-``hamiltonian.certify_structure`` feeds it blocks scattered from a model's
-nonzeros, with no n x n matrix.  The symmetry and omega-circulant checks of
-the transforms use the same pass.
+each, in one pass over blocks of 32 rows that reads the matrix through one
+view of its rows and columns: ``_dense_view`` slices a matrix (a complex
+one whose imaginary part is exactly zero as its float64 view, with the same
+results), and ``_nonzero_view`` scatters each block from nonzeros, so
+``hamiltonian.certify_structure`` needs no n x n matrix.  The pass needs
+O(32 n) temporaries; the symmetry and omega-circulant checks of the
+transforms use it too.  A matrix whose squares would under- or overflow is
+read times an exact power of two, so no decision depends on its scale.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .errors import (
 )
 from .linalg import (
     _as_matrix,
+    _NORM_RANGE,
+    _ldexp,
     as_cmatrix,
     as_cvector,
     eigh,
@@ -50,6 +53,9 @@ from .linalg import (
 EPS_GAP = 1e-8
 #: rows per block of the residual pass
 _BLOCK_ROWS = 32
+#: bytes per basis state of a pass over ``_nonzero_view``: traced peaks of 3
+#: to 6.2 rows of 32 entries of the nonzeros' dtype, and its n + 1 column starts
+_NONZERO_STATE_BYTES = 7 * 16 * _BLOCK_ROWS + 8
 #: the boolean flags of StructureFlags, each decided by one residual
 _FLAG_NAMES = ("symmetric", "skew_symmetric", "hermitian", "persymmetric", "skew_persymmetric",
                "centrosymmetric", "toeplitz", "circulant", "skew_circulant", "diagonal")
@@ -136,33 +142,59 @@ _BLOCK_RESIDUALS = {
 }
 
 
-def _dense_views(m: np.ndarray):
-    """First row, first column and row blocks of a dense square ``m`` for
-    ``_residual_norms``: a complex128 ``m`` whose imaginary part is exactly
-    zero is read through its float64 view, every block row is a view, and
-    each block's columns are one contiguous copy."""
+def _dense_view(m: np.ndarray):
+    """The view ``_residual_norms`` reads of a dense square ``m``: rows are
+    slices, each block of columns one contiguous copy, and a complex128
+    ``m`` whose imaginary part is exactly zero is read as its float64 view."""
     if np.iscomplexobj(m) and not m.imag.any():
         m = m.real
-    mjj = _flip2(m)
-    blocks = ((i, m[i : i + _BLOCK_ROWS], m[:, i : i + _BLOCK_ROWS].T.copy(), mjj[i : i + _BLOCK_ROWS])
-              for i in range(0, len(m), _BLOCK_ROWS))
-    return m[0], m[:, 0], blocks
+    return len(m), lambda lo, hi: m[lo:hi], lambda lo, hi: m[:, lo:hi].T.copy()
 
 
-def _residual_norms(r: np.ndarray, c: np.ndarray, blocks, names, omega=None) -> dict[str, float]:
-    """Frobenius norm of each named structure residual of a square matrix m,
-    given its first row ``r``, first column ``c`` and ``blocks``.
+def _nonzero_view(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """The view ``_residual_norms`` reads of the n x n matrix with these
+    row-major nonzeros, each block scattered into zeros."""
+    by_col = np.argsort(cols, kind="stable")
+    row_starts = np.searchsorted(rows, np.arange(n + 1))
+    col_starts = np.searchsorted(cols[by_col], np.arange(n + 1))
+
+    def scatter(lo, hi, k, major, minor):
+        out = np.zeros((hi - lo, n), dtype=vals.dtype)
+        out[major[k] - lo, minor[k]] = vals[k]
+        return out
+
+    return (n, lambda lo, hi: scatter(lo, hi, slice(row_starts[lo], row_starts[hi]), rows, cols),
+            lambda lo, hi: scatter(lo, hi, by_col[col_starts[lo] : col_starts[hi]], cols, rows))
+
+
+def _rescaled(view, norm: float):
+    """(view, norm, e): as given with e = 0 for a norm of 0 or within
+    ``_NORM_RANGE``, else both times 2^-e, e the norm's exponent, exactly and
+    block by block, so that the squares of the view's blocks add up to below 1."""
+    if norm == 0 or _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
+        return view, norm, 0
+    e = math.frexp(norm)[1]
+    n, rows, cols = view
+    view = n, lambda lo, hi: _ldexp(rows(lo, hi), -e), lambda lo, hi: _ldexp(cols(lo, hi), -e)
+    return view, math.ldexp(norm, -e), e
+
+
+def _residual_norms(view, names, omega=None) -> dict[str, float]:
+    """Frobenius norm of each named structure residual of the square matrix
+    m that ``view`` reads.
 
     The names are those of ``_FLAG_NAMES`` and ``"omega"`` (m minus the
-    omega-circulant of its first row).  ``blocks`` yields, for consecutive
-    blocks of rows from row i on, (i, rows of m, the same rows of m^T, the
-    same rows of J m J), as dense arrays of equal shape; ``_dense_views``
-    gives them for a dense m, ``hamiltonian.certify_structure`` scatters
-    them from a model's nonzeros.  One pass over the blocks adds up every
-    squared residual; the Toeplitz and circulant rows are views of bands
-    built from r and c.  The norms depend only on the blocks' values, so
-    equal blocks give bit-identical norms however they were made.
+    omega-circulant of its first row).  ``view`` is (n, rows, cols):
+    ``rows(lo, hi)`` gives rows lo .. hi - 1 of m and ``cols(lo, hi)`` its
+    columns lo .. hi - 1 as rows, as dense arrays; the pass takes the first
+    row and column from them, and the rows of J m J as reversed rows of m.
+    One pass over blocks of rows adds up every squared residual; the
+    Toeplitz and circulant rows are views of bands built from the first row
+    and column.  The norms depend only on the values read, so equal blocks
+    give bit-identical norms however the view makes them.
     """
+    n, rows, cols = view
+    r, c = rows(0, 1)[0], cols(0, 1)[0]
     bands = {
         "toeplitz": _toeplitz_band(r, c),
         "circulant": _omega_band(r, 1.0),
@@ -171,11 +203,12 @@ def _residual_norms(r: np.ndarray, c: np.ndarray, blocks, names, omega=None) -> 
     if omega is not None:
         bands["omega"] = _omega_band(r, omega)
     sums = dict.fromkeys(names, 0.0)
-    for i, a, at, jaj in blocks:
-        blk = slice(i, i + len(a))
+    for i in range(0, n, _BLOCK_ROWS):
+        hi = min(i + _BLOCK_ROWS, n)
+        a, at, jaj = rows(i, hi), cols(i, hi), rows(n - hi, n - i)[::-1, ::-1]
         for name in names:
             if name in bands:
-                res = a - bands[name][blk]
+                res = a - bands[name][i:hi]
             elif name == "diagonal":
                 res = a.copy()
                 np.fill_diagonal(res[:, i:], 0)
@@ -183,6 +216,13 @@ def _residual_norms(r: np.ndarray, c: np.ndarray, blocks, names, omega=None) -> 
                 res = _BLOCK_RESIDUALS[name](a, at, jaj)
             sums[name] += np.vdot(res, res).real
     return {name: math.sqrt(s) for name, s in sums.items()}
+
+
+def _holds(m: np.ndarray, names, omega=None) -> bool:
+    """True when every named residual of the square ``m`` is at most
+    ``EPS_STRUCT * ||m||_F``, at any scale."""
+    view, norm, _ = _rescaled(_dense_view(m), frob(m))
+    return max(_residual_norms(view, names, omega).values()) <= EPS_STRUCT * norm
 
 
 def _estimate_omega(r: np.ndarray, c: np.ndarray, thresh: float) -> complex | None:
@@ -214,18 +254,21 @@ def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         return StructureFlags()
-    return _classify(*_dense_views(m), frob(m), tol)
+    return _classify(_dense_view(m), frob(m), tol)
 
 
-def _classify(r: np.ndarray, c: np.ndarray, blocks, norm: float, tol: float) -> StructureFlags:
-    """``classify`` of the square matrix with first row ``r``, first column
-    ``c``, residual blocks ``blocks`` (see ``_residual_norms``) and
-    Frobenius norm ``norm``."""
+def _classify(view, norm: float, tol: float) -> StructureFlags:
+    """``classify`` of the square matrix that ``view`` reads (see
+    ``_residual_norms``), of Frobenius norm ``norm``.  A matrix whose squares
+    under- or overflow is read times 2^-e (``_rescaled``), and its residuals
+    are reported times 2^e, at the input's scale."""
+    view, norm, e = _rescaled(view, norm)
+    _, rows, cols = view
     thresh = tol * norm
-    cand = _estimate_omega(r, c, thresh)
+    cand = _estimate_omega(rows(0, 1)[0], cols(0, 1)[0], thresh)
     if cand is not None and abs(abs(cand) - 1.0) > max(tol, 1e-8):
         cand = None
-    res = _residual_norms(r, c, blocks, _FLAG_NAMES if cand is None else (*_FLAG_NAMES, "omega"), cand)
+    res = _residual_norms(view, _FLAG_NAMES if cand is None else (*_FLAG_NAMES, "omega"), cand)
     flags = {name: res[name] <= thresh for name in _FLAG_NAMES}
 
     omega: complex | None = None
@@ -237,7 +280,7 @@ def _classify(r: np.ndarray, c: np.ndarray, blocks, norm: float, tol: float) -> 
         omega = complex(cand)
     else:
         res.pop("omega", None)
-    return StructureFlags(omega=omega, residuals=res, **flags)
+    return StructureFlags(omega=omega, residuals={name: math.ldexp(x, e) for name, x in res.items()}, **flags)
 
 
 def persym_split(a) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +292,7 @@ def persym_split(a) -> tuple[np.ndarray, np.ndarray]:
     """
     m = as_cmatrix(a)
     square = m.shape[0] == m.shape[1]
-    if not square or _residual_norms(*_dense_views(m), ("symmetric",))["symmetric"] > EPS_STRUCT * frob(m):
+    if not square or not _holds(m, ("symmetric",)):
         raise NotSymmetricError("persym_split requires a symmetric square matrix")
     p = 0.5 * (m + _flip2(m))
     s = m - p
@@ -261,10 +304,9 @@ def _require_sym_persym(m: np.ndarray, caller: str, real: bool = False) -> int:
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise NotSymPersymError(f"expected a square matrix, got shape {m.shape}")
-    thresh = EPS_STRUCT * frob(m)
-    if max(_residual_norms(*_dense_views(m), ("symmetric", "centrosymmetric")).values()) > thresh:
+    if not _holds(m, ("symmetric", "centrosymmetric")):
         raise NotSymPersymError("matrix is not symmetric persymmetric")
-    if real and frob(m.imag) > thresh:
+    if real and frob(m.imag) > EPS_STRUCT * frob(m):
         raise NotSymPersymError("matrix is not real")
     if n % 2:
         raise OddSizeError(f"{caller} requires even size, got {n}")
@@ -368,7 +410,7 @@ def omega_to_circulant(c, omega: complex) -> tuple[np.ndarray, np.ndarray]:
         raise NotOmegaCirculantError(f"expected a square matrix, got shape {m.shape}")
     if not abs(abs(omega) - 1.0) <= 1e-8:
         raise NotOmegaCirculantError(f"omega must have unit modulus, got |omega|={abs(omega):g}")
-    if _residual_norms(*_dense_views(m), ("omega",), omega)["omega"] > EPS_STRUCT * frob(m):
+    if not _holds(m, ("omega",), omega):
         raise NotOmegaCirculantError("matrix does not match the omega-circulant pattern")
     root = np.exp(1j * np.angle(omega) / n)
     phases = root ** np.arange(n)

@@ -95,21 +95,21 @@ def detect_vector_symmetries(x, tol: float = EPS_SYM) -> set[str]:
     """
     require_tol(tol)
     v = as_cvector(x)
-    thresh = tol * np.linalg.norm(v)
+    thresh = tol * frob(v)
     found = set()
-    if np.linalg.norm(v - shifted(v)) <= thresh:
+    if frob(v - shifted(v)) <= thresh:
         found.add("bitshift")
-    if np.linalg.norm(v - np.conj(bit_reversed(v))) <= thresh:
+    if frob(v - np.conj(bit_reversed(v))) <= thresh:
         found.add("reverse")
     for sign, tag in ((1, "bitflip+"), (-1, "bitflip-")):
-        if np.linalg.norm(v - sign * v[::-1]) <= thresh:
+        if frob(v - sign * v[::-1]) <= thresh:
             found.add(tag)
     half = len(v) // 2
     for sign, tag in ((1, "firstsite+"), (-1, "firstsite-")):
-        if np.linalg.norm(v[half:] - sign * v[:half]) <= thresh:
+        if frob(v[half:] - sign * v[:half]) <= thresh:
             found.add(tag)
     for sign, tag in ((1, "lastsite+"), (-1, "lastsite-")):
-        if np.linalg.norm(v[1::2] - sign * v[0::2]) <= thresh:
+        if frob(v[1::2] - sign * v[0::2]) <= thresh:
             found.add(tag)
     return found
 
@@ -261,7 +261,7 @@ def _require_invariant(m: MPSState, image, message: str) -> None:
     nbytes = _INVARIANCE_ARRAYS * 16 * 2**m.p
     require_bytes(nbytes, f"the invariance test at p = {m.p} needs {nbytes} bytes")
     x = to_vector(m)
-    if np.linalg.norm(x - image(x)) > EPS_SYM * np.linalg.norm(x):
+    if frob(x - image(x)) > EPS_SYM * frob(x):
         raise SymmetryMismatchError(message)
 
 
@@ -427,7 +427,7 @@ def reverse_normal_form(x) -> ReverseNormalForm:
         raise ZeroVectorError("vector must be nonzero, of length 2^p with p >= 1")
     nbytes = _REVERSE_NF_ARRAYS * 16 * 2**p
     require_bytes(nbytes, f"the reverse normal form at p = {p} needs {nbytes} bytes")
-    if np.linalg.norm(v - np.conj(bit_reversed(v))) > EPS_SYM * np.linalg.norm(v):
+    if frob(v - np.conj(bit_reversed(v))) > EPS_SYM * frob(v):
         raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
     m = p // 2
     n = 2**m

@@ -18,6 +18,22 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+#: exponents k at which a sum of squares of a times 2^k underflows or
+#: overflows for entries of a near 1
+SCALES = (-1060, -1000, -600, 600, 1000)
+
+
+def scaled(a, k):
+    """a times 2^k, real and imaginary parts each by np.ldexp (exact for
+    entries with few significant bits)."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return np.ldexp(a, k)
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+    return out
+
+
 def random_unit_vector(rng, n):
     v = random_complex(rng, n)
     return v / np.linalg.norm(v)

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -22,10 +23,10 @@ from symtt import (
 )
 from symtt import hamiltonian, linalg, symmetry
 from symtt.errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
-from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _nonzeros, _solve_sectors
+from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _nonzeros, _Sectors, _solve_sectors
 from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob, kron_chain
 
-from conftest import dense_reference, random_complex
+from conftest import SCALES, dense_reference, random_complex
 
 
 def test_pauli_entries():
@@ -89,6 +90,8 @@ def test_model_rejects_bad_site_count(p):
 
 
 def test_assemble_matches_dense_reference():
+    # the nonzeros are exactly the reference's: sums that cancel to 0, such
+    # as XX + YY on |00> <-> |11>, are dropped
     rng = np.random.default_rng(11)
     for name in MODEL_NAMES:
         d = model(name, 1).d
@@ -97,9 +100,11 @@ def test_assemble_matches_dense_reference():
                 drawn = {key: float(rng.uniform(-2, 2)) for key in ("jx", "jy", "jz", "lam", "theta")}
                 for params in (None, drawn):
                     spec = model(name, p, params, boundary)
-                    h = assemble(spec)
+                    h, want = assemble(spec), dense_reference(spec)
                     assert h.dtype == np.complex128
-                    assert h.tobytes() == dense_reference(spec).tobytes(), (name, p, boundary, params)
+                    assert h.tobytes() == want.tobytes(), (name, p, boundary, params)
+                    vals = _nonzeros(spec)[2]
+                    assert np.all(vals != 0) and len(vals) == np.count_nonzero(want), (name, p, boundary, params)
 
 
 @st.composite
@@ -647,9 +652,29 @@ def test_sector_solve_refuses_a_non_hermitian_model():
         ground_state(spec)
     with pytest.raises(NotHermitianError, match="not Hermitian"):
         _solve_sectors(spec, vector=False)
+    for k in SCALES:  # at scales where the squares of its entries under- or overflow, too
+        tiny_or_huge = HamiltonianSpec(p=1, d=2, boundary="open", terms=(LocalTermSpec(math.ldexp(1.0, k), (up,)),))
+        with pytest.raises(NotHermitianError, match="not Hermitian"):
+            _solve_sectors(tiny_or_huge, vector=False)
     terms = (LocalTermSpec(1.0, (up,)), LocalTermSpec(-1.0, (up,)), LocalTermSpec(1.0, (pauli("z").real,)))
     rep = ground_state(HamiltonianSpec(p=1, d=2, boundary="open", terms=terms))
     assert rep.values.tolist() == [-1.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certify_structure_does_not_depend_on_scale():
+    """Couplings times 2^k give the flags and omega of the unscaled model and
+    residuals exactly 2^k times its, at scales where squares of the entries
+    under- or overflow; the couplings have few significant bits, so every
+    entry times 2^k is exact."""
+    params = {"jx": 0.75, "jy": -1.25, "jz": 0.5, "lam": 0.375}
+    for name in MODEL_NAMES[:-2]:  # the spin-1 models take no coupling scale
+        for p, boundary in ((3, "open"), (4, "periodic"), (6, "periodic")):
+            want = certify_structure(model(name, p, params, boundary))
+            for k in SCALES:
+                got = certify_structure(model(name, p, {key: math.ldexp(v, k) for key, v in params.items()}, boundary))
+                assert got == want and got.omega == want.omega, (name, p, k)
+                assert got.residuals == {key: math.ldexp(r, k) for key, r in want.residuals.items()}, (name, p, k)
 
 
 def test_certify_from_nonzeros_matches_classify():
@@ -666,6 +691,25 @@ def test_certify_from_nonzeros_matches_classify():
                     got, want = certify_structure(spec), classify(assemble(spec))
                     assert got == want and got.omega == want.omega, (name, p, boundary, params)
                     assert got.residuals == want.residuals, (name, p, boundary, params)
+
+
+def test_sector_orbits_are_the_symmetric_degrees_of_freedom():
+    """The sector solver's representatives are the orbits that
+    ``symmetry.dof_count`` counts for the admitted generators (momentum ->
+    bitshift, mirror -> reverse, flip -> bitflip), and its sector orders add
+    up to 2^p: heis_xxz on a ring and an open chain, p = 2 .. 12, and hz,
+    whose flip is not admitted."""
+    kinds = {"momentum": "bitshift", "mirror": "reverse", "flip": "bitflip"}
+    for name, params in (("heis_xxz", {"jx": 0.8, "jz": 1.3}), ("hz", None)):
+        for p in range(2, 13):
+            for boundary in ("open", "periodic"):
+                spec = model(name, p, params, boundary)
+                sectors = _Sectors(spec, *_nonzeros(spec))
+                admitted = [kinds[gen] for gen, _, _ in sectors.gens]
+                assert ("bitflip" in admitted) == (name != "hz")
+                counts = symmetry.dof_count(p, admitted).counts
+                assert len(sectors.reps) == counts.get("combined", counts[admitted[0]]), (name, p, boundary)
+                assert sum(map(sectors.order, sectors.members)) == 2**p
 
 
 def test_ground_sector_matches_detected_symmetries():

@@ -447,6 +447,9 @@ def test_write_mps_guards_every_site_of_a_shared_core(tmp_path, monkeypatch):
 
 
 def test_format_errors(tmp_path):
+    with pytest.raises(FormatError, match="vector length 6 is not a power of two"):
+        write_vec(tmp_path / "six.vec", np.ones(6))
+    assert not (tmp_path / "six.vec").exists()
     bad = tmp_path / "bad.mat"
     bad.write_text("MAT2 2 2\n")
     with pytest.raises(FormatError):
@@ -560,10 +563,20 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
     assert "error:" in err and "nonzero" in err
 
 
-def test_cli_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["ham", "build", "--model", "not_a_model", "--p", "2", "--out", "x"])
-    assert exc.value.code == 2
+def test_cli_usage_error_exit_code(capsys):
+    # an unknown model, and each verb without an argument its kind needs
+    cases = [
+        (["ham", "build", "--model", "not_a_model", "--p", "2", "--out", "x"], "invalid choice"),
+        (["ham", "certify"], "ham certify needs a MAT1 file or --model"),
+        (["sym", "construct", "--kind", "fullbit", "--mat", "m.mat", "--out", "x"], "sym construct --kind fullbit needs --mat and --p"),
+        (["sym", "construct", "--kind", "reverse", "--out", "x"], "sym construct --kind reverse needs --vec"),
+        (["sym", "normal-form", "--kind", "bitflip", "--mps", "m.mps", "--out", "x"], "sym normal-form --kind bitflip needs --wit"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_cli_start_up_never_loads_scipy(tmp_path):
@@ -795,9 +808,13 @@ def test_cli_struct_blockdiag(tmp_path, capsys, rng):
     write_mat(mat, a)
     bp = tmp_path / "bp.mat"
     bm = tmp_path / "bm.mat"
-    assert run_cli("struct", "blockdiag", str(mat), "--out-plus", str(bp), "--out-minus", str(bm)) == 0
+    bq = tmp_path / "q.mat"
+    assert run_cli("struct", "blockdiag", str(mat), "--out-plus", str(bp), "--out-minus", str(bm), "--out-q", str(bq)) == 0
     spec = np.sort(np.concatenate([np.linalg.eigvalsh(read_mat(bp)), np.linalg.eigvalsh(read_mat(bm))]))
     assert np.allclose(spec, np.linalg.eigvalsh(a), atol=1e-10)
+    q = read_mat(bq)  # q a q^T = diag(b_plus, b_minus)
+    assert np.allclose(q @ a @ q.T, np.block([[read_mat(bp), np.zeros((4, 4))], [np.zeros((4, 4)), read_mat(bm)]]), atol=1e-12)
+    assert f"written_q={bq}" in capsys.readouterr().out
 
 
 def test_cli_dof(capsys):
@@ -812,6 +829,9 @@ def test_cli_ham_spectrum_ground(tmp_path, capsys):
     values = [float(v) for v in spec_file.read_text().split()]
     assert np.allclose(values, [-3, -1, -1, -1, 1, 1, 1, 3], atol=1e-12)
     capsys.readouterr()
+    # without --out the values go to stdout, one a line, before dim
+    assert run_cli("ham", "spectrum", "--model", "hx", "--p", "3") == 0
+    assert capsys.readouterr().out.splitlines() == spec_file.read_text().splitlines() + ["dim=8"]
     gvec = tmp_path / "g.mat"
     assert run_cli("ham", "ground", "--model", "hx", "--p", "2", "--out", str(gvec)) == 0
     lines = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from symtt.fileio import write_mps
 from symtt.hamiltonian import ground_state, pauli
 from symtt.linalg import dagger, frob, rank_from_sigma, require_bytes, split
 
-from conftest import random_complex, random_hermitian
+from conftest import SCALES, random_complex, random_hermitian, scaled
 
 
 def test_kron_pauli_x_gives_anti_identity():
@@ -111,6 +113,24 @@ def test_eigh_pauli():
 def test_eigh_rejects_non_hermitian(rng):
     with pytest.raises(NotHermitianError):
         eigh(random_complex(rng, 3, 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_relative_checks_do_not_depend_on_scale(rng):
+    # frob of a times 2^k is frob(a) times 2^k, rounded once, where the
+    # plain sum of squares under- or overflows; eigh refuses the scaled
+    # non-Hermitian [[1, 2], [0, 1]] and accepts the scaled Hermitian one
+    a = rng.integers(-9, 10, (5, 5)) + 1j * rng.integers(-9, 10, (5, 5))
+    upper = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for k in SCALES:
+        assert frob(scaled(a, k)) == math.ldexp(frob(a), k)
+        assert frob(scaled(a.real, k)) == math.ldexp(frob(a.real), k)
+        with pytest.raises(NotHermitianError):
+            eigh(scaled(upper, k))
+        w = eigh(scaled(upper + upper.T, k)).values
+        assert abs(math.ldexp(w[1], -k) - 4.0) < 1e-3  # subnormal at k = -1060
+    assert frob(np.zeros((3, 3))) == 0.0
+    assert frob(np.full((2, 2), 1e308)) == math.inf  # past float64's range, without an error
 
 
 def test_eigh_residual_oracle(rng):

@@ -294,6 +294,7 @@ def test_check_gauge_from_vector(rng):
     x = random_unit_vector(rng, 2**5)
     rep = check_gauge(from_vector(x))
     assert max(rep.left) < 1e-12
+    assert rep.max_residual == max(rep.left + rep.right + rep.strong) > 1e-3  # a left-canonical chain is not right-canonical
 
 
 def test_check_gauge_scalar_values():
@@ -348,6 +349,7 @@ def test_vidal_both_conditions(rng):
     rep = check_vidal(v)
     assert max(rep.vidal_left) < 1e-10
     assert max(rep.vidal_right) < 1e-10
+    assert rep.max_residual == max(rep.vidal_left + rep.vidal_right)
     for j, lam in enumerate(v.lambdas, start=1):
         oracle = matricization_svals(x, j)[: len(lam)]
         assert np.max(np.abs(lam - oracle)) < 1e-10

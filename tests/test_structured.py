@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,12 +30,14 @@ from symtt.linalg import exchange_matrix, fourier_matrix, frob
 from symtt.structured import StructureFlags, circulant, omega_circulant, toeplitz_from
 
 from conftest import (
+    SCALES,
     dense_classify,
     loop_omega_circulant,
     loop_toeplitz,
     random_complex,
     random_sym_persym,
     random_sym_skew_persym,
+    scaled,
 )
 
 
@@ -123,6 +126,39 @@ def test_classify_matches_dense_oracle(kind, n, is_complex, eps, seed):
     flags, want = classify(a), dense_classify(a)
     assert flags == want
     assert flags.omega == want.omega
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KINDS + ("omega_i",)), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_classify_does_not_depend_on_scale(kind, n, is_complex, seed):
+    """a times 2^k gets a's flags and omega, and residuals exactly 2^k times
+    a's, at scales where squares of its entries under- or overflow; the
+    entries of a are small integers (times i), so a times 2^k is exact."""
+    rng = np.random.default_rng(seed)
+    if kind == "omega_i":
+        a = loop_omega_circulant(rng.integers(-9, 10, n) + 1j * rng.integers(-9, 10, n), 1j)
+    else:
+        a = np.round(4 * structured_matrix(kind, n, is_complex, rng))
+    want = classify(a)
+    for k in SCALES:
+        got = classify(scaled(a, k))
+        assert got == want and got.omega == want.omega, k
+        assert got.residuals == {name: math.ldexp(r, k) for name, r in want.residuals.items()}, k
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_structure_checks_do_not_depend_on_scale(rng):
+    # the transforms refuse what they refuse at scale 1, and accept the rest
+    sym = np.round(4 * random_sym_persym(rng, 6))
+    for k in SCALES:
+        with pytest.raises(NotSymmetricError):
+            persym_split(scaled(np.triu(sym), k))
+        with pytest.raises(NotSymPersymError):
+            block_diagonalize(scaled(sym + np.diag(np.arange(6.0)), k))
+        with pytest.raises(NotOmegaCirculantError):
+            omega_to_circulant(scaled(circulant(np.arange(1.0, 5.0)), k), -1.0)
+        assert persym_split(scaled(sym, k))[1].shape == (6, 6)
 
 
 def test_classify_residuals_are_the_dense_norms(rng):

@@ -37,7 +37,7 @@ from symtt.linalg import dagger, exchange_matrix, frob
 from symtt import linalg, symmetry
 from symtt.symmetry import EPS_SYM, bit_reversed, heuristic_bitflip_witness, shifted, ti_chain_normal_form
 
-from conftest import group_orbit_count, random_complex, random_hermitian
+from conftest import SCALES, group_orbit_count, random_complex, random_hermitian, scaled
 
 
 def ghz(p):
@@ -80,6 +80,32 @@ def test_detect_first_last_site(rng):
     inter = np.empty(16, complex)
     inter[0::2], inter[1::2] = b, b
     assert "lastsite+" in detect_vector_symmetries(inter)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(("none", "shift", "reverse", "flip+", "flip-", "first+", "first-", "last+", "last-")),
+       st.integers(0, 2**32 - 1))
+def test_detect_does_not_depend_on_scale(p, kind, seed):
+    """x times 2^k has the kinds of x at scales where squares of its entries
+    under- or overflow; x has small integer parts, so x times 2^k is exact."""
+    rng = np.random.default_rng(seed)
+    b = rng.integers(-9, 10, 2**p) + 1j * rng.integers(-9, 10, 2**p)
+    h = b[: len(b) // 2]
+    x = {
+        "none": lambda: b,
+        "shift": lambda: sum(shifted(b, r) for r in range(p)),
+        "reverse": lambda: b + np.conj(bit_reversed(b)),
+        "flip+": lambda: b + b[::-1],
+        "flip-": lambda: b - b[::-1],
+        "first+": lambda: np.concatenate([h, h]) if p > 1 else b,
+        "first-": lambda: np.concatenate([h, -h]) if p > 1 else b,
+        "last+": lambda: np.repeat(h, 2) if p > 1 else b,
+        "last-": lambda: np.repeat(h, 2) * np.tile([1, -1], len(h)) if p > 1 else b,
+    }[kind]()
+    want = detect_vector_symmetries(x)
+    for k in SCALES:
+        assert detect_vector_symmetries(scaled(x, k)) == want, k
 
 
 def test_shift_and_reverse_helpers():
@@ -578,10 +604,26 @@ def test_bitflip_normal_form_swap_witness():
     assert frob(np.linalg.inv(s) @ d @ s - u) < 1e-12
 
 
+def _conjugated(m, wit, rng):
+    """The chain of sites S_j A_j S_{j+1}^-1 and witnesses S_j U_j S_j^-1,
+    S_j invertible and not unitary (S_{p+1} = S_1): the same vector and
+    relations, but non-Hermitian witnesses."""
+    s = [np.eye(len(u)) + 0.3 * random_complex(rng, len(u), len(u)) for u in wit.matrices]
+    inv = [np.linalg.inv(x) for x in s]
+    sites = [(s[j] @ a0 @ inv[(j + 1) % m.p], s[j] @ a1 @ inv[(j + 1) % m.p]) for j, (a0, a1) in enumerate(m.sites)]
+    return MPSState(sites, boundary=m.boundary), SymmetryWitness(kind="bitflip", sign=wit.sign,
+                                                                 matrices=tuple(x @ u @ y for x, u, y in zip(s, wit.matrices, inv)))
+
+
 def test_bitflip_normal_form_roundtrip(rng):
-    for sign in (1, -1):
+    # the constructed chain, whose witnesses are Hermitian, and a conjugated
+    # copy of it, whose witnesses are not
+    for sign, conjugate in ((1, False), (-1, False), (1, True), (-1, True)):
         x = symmetrize_flip(rand_vec(rng, 4), sign)
         out, wit = bitflip_construct(from_vector(x), sign=sign)
+        if conjugate:
+            out, wit = _conjugated(out, wit, rng)
+            assert all(frob(u - dagger(u)) > 0.1 for u in wit.matrices if len(u) > 1)
         nf, dwit = bitflip_normal_form(out, wit)
         assert np.linalg.norm(to_vector(nf) - x) < 1e-12 * np.linalg.norm(x)
         rep = verify_relation(nf, dwit)
@@ -701,6 +743,9 @@ def test_lastsite_random(rng):
         want = np.empty(16, complex)
         want[0::2], want[1::2] = b, sign * b
         assert np.linalg.norm(x - want) < 1e-12 * np.linalg.norm(b)
+        m = lastsite_construct(b, sign)
+        assert verify_relation(m, SymmetryWitness(kind="lastsite", sign=sign)).max_residual == 0.0
+        assert verify_relation(m, SymmetryWitness(kind="lastsite", sign=-sign)).max_residual > 0.1
 
 
 # -------------------------------------------------------------- verification
