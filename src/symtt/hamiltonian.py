@@ -8,18 +8,18 @@ transform removing the y-component of anisotropic XY fields, structure
 certification, and ground-state extraction all operate on this one term form.
 
 A model becomes numbers only through ``_nonzeros``: each term's nonzeros,
-folded left to right by whole factors as ``np.kron`` multiplies, summed per
-entry in term order, bit-identical to a dense Kronecker fold for any
-factors, with sums that cancel to 0 dropped.  ``assemble`` scatters them
-into the dense matrix (``ham build``); nothing else forms a d^p x d^p
-matrix.  ``certify_structure`` reads them through ``structured``'s residual
-pass and its ``_nonzero_view``, and ``ground_state`` and ``ham spectrum``
-solve the symmetry sectors of ``_Sectors`` (translations or mirror, times
-the global flip, which is the paper's exchange J), whose generators are
-admitted by comparisons at any scale of the couplings.  Each path guards
-its measured peak before it allocates: per term nonzero and per basis state
-before the nonzeros are built, and the largest sector block on top before
-any block is.
+folded left to right by whole factors as ``np.kron`` multiplies, added per
+entry in term order from 0.0 by ``np.add.at`` (as every sum here is),
+bit-identical to a dense Kronecker fold for any factors, with sums that
+cancel to 0 dropped.  ``assemble`` scatters them into the dense matrix
+(``ham build``); nothing else forms a d^p x d^p matrix.  ``certify_structure``
+reads them through ``structured``'s residual pass and its ``_nonzero_view``,
+and ``ground_state`` and ``ham spectrum`` solve the symmetry sectors of
+``_Sectors`` (translations or mirror, times the global flip, which is the
+paper's exchange J), whose generators are admitted by comparisons at any
+scale of the couplings.  Each path guards its measured peak before it
+allocates: per term nonzero and per basis state before the nonzeros are
+built, and the largest sector block on top before any block is.
 """
 
 from __future__ import annotations
@@ -249,17 +249,6 @@ def _term_nonzeros(factors, ident: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return rows, cols, vals
 
 
-def _sums(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
-    """``np.bincount`` of real or complex weights (each part on its own),
-    which adds them in input order from 0.0; float64 or complex128 also when
-    there are none (bincount gives int64)."""
-    out = np.bincount(index, weights.real, length).astype(np.float64, copy=False)
-    if np.iscomplexobj(weights):
-        out = out.astype(np.complex128)
-        out.imag = np.bincount(index, weights.imag, length)
-    return out
-
-
 def _nonzero_bytes(spec: HamiltonianSpec, state_bytes: int) -> tuple[int, int]:
     """The count of term nonzeros and the bytes ``_nonzeros`` guards."""
     count = sum(math.prod(spec.d if f is None else int(np.count_nonzero(f)) for f in t.factors) for t in spec.terms)
@@ -270,12 +259,12 @@ def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, 
     """Rows, columns and values of the model's nonzeros, in row-major order:
     the one way a model becomes numbers.
 
-    Each term's ``_term_nonzeros`` times its coefficient are summed per (row,
-    col) in term order from 0.0 (``_sums``), as a dense assembly adds them,
-    so every value is bit for bit that matrix's entry.  Sums that cancel to
-    exactly 0 are dropped: a sum from 0.0 is never -0.0, and adding +-0 to a
-    block entry that starts at 0.0 changes nothing.  The values are float64
-    when every imaginary part is zero, else complex128.  The guard
+    Each term's ``_term_nonzeros`` times its coefficient are added per (row,
+    col) in term order from 0.0 by ``np.add.at``, as a dense assembly adds
+    them, so every value is bit for bit that matrix's entry.  Sums that
+    cancel to exactly 0 are dropped: a sum from 0.0 is never -0.0, and adding
+    +-0 to a block entry that starts at 0.0 changes nothing.  The values are
+    float64 when every imaginary part is zero, else complex128.  The guard
     counts ``_NONZERO_BYTES`` per term nonzero plus the caller's
     ``state_bytes`` per basis state, before anything is built.
     """
@@ -283,26 +272,24 @@ def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, 
     count, nbytes = _nonzero_bytes(spec, state_bytes)
     require_bytes(nbytes, f"{count} term nonzeros and {n} basis states need {nbytes} bytes")
     ident = np.eye(spec.d, dtype=np.complex128)
-    keys, re, im = [], [], []
+    keys, vals = [], []
     for term in spec.terms:
-        rows, cols, vals = _term_nonzeros(term.factors, ident)
-        vals = term.coeff * vals
+        rows, cols, v = _term_nonzeros(term.factors, ident)
+        v = term.coeff * v
         keys.append(rows * n + cols)
-        re.append(vals.real.copy())
         # an all-zero imaginary part adds nothing to sums that start at +0.0
-        im.append(vals.imag.copy() if vals.imag.any() else None)
+        vals.append(v if v.imag.any() else v.real.copy())
     keys = np.concatenate(keys)
     uniq = np.sort(keys)  # not np.unique, whose first call imports numpy.ma (~20 ms)
-    uniq = uniq[np.diff(uniq, prepend=-1) != 0]
+    uniq = uniq[np.concatenate((uniq[:1] == uniq[:1], uniq[1:] != uniq[:-1]))]  # first and changed keys; bools only
     inv = np.searchsorted(uniq, keys)
     del keys
-    out = _sums(inv, np.concatenate(re), len(uniq))
-    if any(i is not None for i in im):
-        imag = _sums(inv, np.concatenate([np.zeros(len(r)) if i is None else i for r, i in zip(re, im)]), len(uniq))
-        if imag.any():
-            out = out.astype(np.complex128)
-            out.imag = imag
-    del inv
+    vals = np.concatenate(vals)  # complex128 when any term is
+    out = np.zeros(len(uniq), dtype=vals.dtype)
+    np.add.at(out, inv, vals)
+    del inv, vals
+    if np.iscomplexobj(out) and not out.imag.any():
+        out = out.real
     nonzero = out != 0
     rows, cols = np.divmod(uniq[nonzero], n)
     return rows, cols, out[nonzero]
@@ -532,7 +519,7 @@ class _Sectors:
         return conj if self.real and conj != c else None
 
     def block(self, c) -> np.ndarray:
-        """The sector block of character c, added up with ``_sums``."""
+        """The sector block of character c, added up per entry by ``np.add.at``."""
         member, m = self.members[c], self.order(c)
         chi = self._chi(c)
         if self.is_real(c):
@@ -542,8 +529,9 @@ class _Sectors:
         keep = member[s] & member[r]
         s, e, r, h = s[keep], e[keep], r[keep], h[keep]
         w = h * chi[e] * np.sqrt(self.orbit[r] / self.orbit[s])
-        flat = loc[s] * m + loc[r]
-        return _sums(flat, w, m * m).reshape(m, m)
+        out = np.zeros(m * m, dtype=w.dtype)
+        np.add.at(out, loc[s] * m + loc[r], w)
+        return out.reshape(m, m)
 
     def lift(self, c, u: np.ndarray) -> np.ndarray:
         """The d^p-vector of the sector-c coefficients ``u``."""
@@ -598,7 +586,9 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     if sectors.real and vec.imag.any():
         vec = (vec.real / frob(vec.real)).astype(np.complex128)
     vec += 0.0  # turns the -0.0 that a phase of -1 leaves on zeros into 0.0
-    residual = frob(_sums(rows, vals * vec[cols], n) - values[0] * vec)  # h v from the nonzeros
+    hv = np.zeros(n, dtype=np.complex128)  # h v from the nonzeros
+    np.add.at(hv, rows, vals * vec[cols])
+    residual = frob(hv - values[0] * vec)
     return values, sizes, (vec, sectors.characters(c), residual, frob(vals))
 
 

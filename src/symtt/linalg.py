@@ -201,12 +201,15 @@ def eigh(a) -> EighResult:
     A float64 input is solved as it is, and a complex one whose imaginary
     part is exactly zero through its real part, both in real arithmetic; the
     vectors come back as complex128 either way.  Raises NotHermitianError
-    when ||a - a^H||_F > EPS_LIN * ||a||_F.
+    when ||a - a^H||_F > EPS_LIN * ||a||_F, for a norm past ``_NORM_RANGE``
+    compared at 2^-1024 times both; LAPACK scales a Hermitian a itself, and
+    eigenvalues past float64's range come back inf.
     """
     m = _as_matrix(a)
     require_square(m)
     scale = frob(m)
-    if frob(m - dagger(m)) > EPS_LIN * scale:
+    s = _ldexp(m, -1024) if scale > _NORM_RANGE[1] else m
+    if frob(s - dagger(s)) > EPS_LIN * (scale if s is m else frob(s)):
         raise NotHermitianError(
             f"matrix is not Hermitian within {EPS_LIN:g} relative tolerance"
         )

@@ -170,13 +170,18 @@ def _nonzero_view(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
 def _rescaled(view, norm: float):
     """(view, norm, e): as given with e = 0 for a norm of 0 or within
     ``_NORM_RANGE``, else both times 2^-e, e the norm's exponent, exactly and
-    block by block, so that the squares of the view's blocks add up to below 1."""
+    block by block, so that the squares of the view's blocks add up to below 1;
+    for a norm past float64's range, e = 1024 + n.bit_length() (every entry
+    below 1/n) and the norm is taken again from the rescaled rows."""
     if norm == 0 or _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
         return view, norm, 0
-    e = math.frexp(norm)[1]
     n, rows, cols = view
+    e = math.frexp(norm)[1] if math.isfinite(norm) else 1024 + n.bit_length()
     view = n, lambda lo, hi: _ldexp(rows(lo, hi), -e), lambda lo, hi: _ldexp(cols(lo, hi), -e)
-    return view, math.ldexp(norm, -e), e
+    if math.isfinite(norm):
+        return view, math.ldexp(norm, -e), e
+    blocks = (view[1](i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS))
+    return view, math.sqrt(sum(np.vdot(b, b).real for b in blocks)), e
 
 
 def _residual_norms(view, names, omega=None) -> dict[str, float]:
@@ -280,7 +285,9 @@ def _classify(view, norm: float, tol: float) -> StructureFlags:
         omega = complex(cand)
     else:
         res.pop("omega", None)
-    return StructureFlags(omega=omega, residuals={name: math.ldexp(x, e) for name, x in res.items()}, **flags)
+    with np.errstate(over="ignore"):  # a residual past float64's range reads inf
+        residuals = {name: float(np.ldexp(x, e)) for name, x in res.items()}
+    return StructureFlags(omega=omega, residuals=residuals, **flags)
 
 
 def persym_split(a) -> tuple[np.ndarray, np.ndarray]:

@@ -110,14 +110,16 @@ def test_assemble_matches_dense_reference():
 @st.composite
 def custom_specs(draw):
     """Term lists with d in {2, 3}, random identity (None) patterns, and
-    complex or real factors holding exact zeros."""
+    complex or real factors holding exact zeros; all terms real, all
+    complex, or a mix of both."""
     d = draw(st.sampled_from((2, 3)))
     p = draw(st.integers(1, 5 if d == 2 else 4))
     nones = draw(st.lists(st.lists(st.booleans(), min_size=p, max_size=p), min_size=1, max_size=4))
-    is_complex = draw(st.booleans())
+    kind = draw(st.sampled_from(("real", "complex", "mixed")))
+    complexity = [kind == "complex" or (kind == "mixed" and draw(st.booleans())) for _ in nones]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     terms = []
-    for pattern in nones:
+    for pattern, is_complex in zip(nones, complexity):
         factors = []
         for is_none in pattern:
             if is_none:
@@ -143,11 +145,28 @@ def single_nonzero_spec():
     return HamiltonianSpec(p=2, d=2, boundary="open", terms=(LocalTermSpec(1.0, (z, z)), LocalTermSpec(1.0, (a, b))))
 
 
+def cancelling_imaginary_spec():
+    """A real term and two complex ones whose imaginary parts cancel exactly:
+    every sum is real, so the nonzeros come back float64."""
+    a = np.array([[0, 1 + 1j], [1 - 1j, 0]])
+    z = pauli("z")
+    terms = (LocalTermSpec(1.0, (z, z)), LocalTermSpec(0.5, (a, None)), LocalTermSpec(0.5, (a.conj(), None)))
+    return HamiltonianSpec(p=2, d=2, boundary="open", terms=terms)
+
+
 @settings(max_examples=100, deadline=None)
 @given(custom_specs())
 @example(single_nonzero_spec())
 def test_assemble_matches_dense_reference_property(spec):
     assert assemble(spec).tobytes() == dense_reference(spec).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(custom_specs())
+@example(cancelling_imaginary_spec())
+def test_nonzeros_are_float64_exactly_when_every_sum_is_real(spec):
+    want = dense_reference(spec)
+    assert _nonzeros(spec)[2].dtype == (np.complex128 if want.imag.any() else np.float64)
 
 
 def test_assemble_guard():

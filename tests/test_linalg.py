@@ -131,6 +131,17 @@ def test_relative_checks_do_not_depend_on_scale(rng):
         assert abs(math.ldexp(w[1], -k) - 4.0) < 1e-3  # subnormal at k = -1060
     assert frob(np.zeros((3, 3))) == 0.0
     assert frob(np.full((2, 2), 1e308)) == math.inf  # past float64's range, without an error
+    # past float64's range eigh refuses a non-Hermitian matrix, also where
+    # a - a^H itself overflows; LAPACK solves a Hermitian one, and an
+    # eigenvalue past that range reads inf
+    broken = np.full((4, 4), 1e308)
+    broken[0, 1] = 0
+    for m in (broken, np.array([[0, 1e308], [-0.9e308, 0]]), np.diag([1e308j, 0])):
+        with pytest.raises(NotHermitianError):
+            eigh(m)
+    assert np.array_equal(eigh(np.diag([1e308] * 4)).values, [1e308] * 4)
+    w = eigh(np.full((4, 4), 1e308)).values
+    assert w[-1] == math.inf and np.all(np.abs(w[:-1]) < 1e-14 * 1e308)
 
 
 def test_eigh_residual_oracle(rng):

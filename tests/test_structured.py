@@ -161,6 +161,25 @@ def test_structure_checks_do_not_depend_on_scale(rng):
         assert persym_split(scaled(sym, k))[1].shape == (6, 6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_classify_decides_past_float64s_norm_range():
+    # the Frobenius norm of each matrix overflows float64: the flags are
+    # decided on the matrix times a power of two, and residuals that
+    # overflow too read inf
+    full = np.full((4, 4), 1e308)
+    broken = full.copy()
+    broken[0, 1] = 0
+    flags = classify(broken)
+    assert not (flags.symmetric or flags.diagonal or flags.toeplitz)
+    assert math.isclose(flags.residuals["symmetric"], math.sqrt(2) * 1e308, rel_tol=1e-15)
+    assert flags.residuals["skew_symmetric"] == math.inf
+    flags = classify(full)
+    assert flags.symmetric and flags.toeplitz and flags.circulant and not flags.diagonal
+    assert flags.omega == 1 and flags.residuals["symmetric"] == 0.0
+    assert classify(np.diag([1e308] * 4)).diagonal
+    assert classify(np.diag([1e308j] * 4)) == classify(np.diag([1j] * 4))
+
+
 def test_classify_residuals_are_the_dense_norms(rng):
     omega = np.exp(0.77j)
     a = omega_circulant(random_complex(rng, 40), omega) + 1e-9 * random_complex(rng, 40, 40)
