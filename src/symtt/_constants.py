@@ -1,4 +1,4 @@
-"""The model names, symmetry kinds and default tolerances, free of numpy.
+"""The model names and parameters, symmetry kinds and tolerances, free of numpy.
 
 The library modules import these, and the CLI builds its parser from them
 without executing a library module.
@@ -11,6 +11,9 @@ EPS_STRUCT = 1e-10
 EPS_SYM = 1e-10
 
 SYMMETRY_KINDS = ("bitshift", "reverse", "bitflip", "fullbit", "firstsite", "lastsite")
+
+#: the parameter keys of ``hamiltonian.model`` and the CLI flag of each
+MODEL_PARAMS = {"jx": "--jx", "jy": "--jy", "jz": "--jz", "lam": "--lambda", "theta": "--theta"}
 
 #: spin-1/2 chain models: the (Pauli axis, coupling key) of each bond sum, in
 #: term order; every one of them ends with the x field of strength lam

@@ -7,15 +7,16 @@ Verb grammar:
     symtt sym    {detect, construct, normal-form, verify, orbits, dof}
     symtt struct {classify, split, blockdiag, circulant-eig}
 
-Reports go to stdout as key=value lines (or one JSON object with --json);
-matrices, vectors, chains, and witnesses go to files in the documented MAT1 /
-VEC1 / MPS1 / WIT formats.  Exit codes: 0 success, 1 domain error, 2 usage.
+Each group's parser names the function that runs its verbs.  Reports go to
+stdout as key=value lines, or with --json as one JSON object, in which the
+lines that ``ham spectrum`` and ``sym orbits`` print become lists; matrices,
+vectors, chains, and witnesses go to files in the documented MAT1 / VEC1 /
+MPS1 / WIT formats.  Exit codes: 0 success, 1 domain error, 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import os
 import sys
@@ -30,7 +31,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from ._constants import EPS_STRUCT, EPS_SYM, MODEL_NAMES, SYMMETRY_KINDS
+from ._constants import EPS_STRUCT, EPS_SYM, MODEL_NAMES, MODEL_PARAMS, SYMMETRY_KINDS
 from .errors import ShapeMismatchError, SymttError
 
 
@@ -82,36 +83,32 @@ class Report:
             print(f"{key}={value}")
 
 
-def _model_params(args) -> dict:
-    params = {}
-    for key in ("jx", "jy", "jz", "lam", "theta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return params
-
-
 def _spec_from_args(args) -> hamiltonian.HamiltonianSpec:
-    return hamiltonian.model(args.model, args.p, _model_params(args), boundary=args.bc)
+    params = {key: getattr(args, key) for key in MODEL_PARAMS if getattr(args, key) is not None}
+    return hamiltonian.model(args.model, args.p, params, boundary=args.bc)
 
 
 def _add_model_args(sub, required: bool) -> None:
     sub.add_argument("--model", required=required, choices=MODEL_NAMES)
     sub.add_argument("--p", type=int, required=required)
-    sub.add_argument("--jx", type=float)
-    sub.add_argument("--jy", type=float)
-    sub.add_argument("--jz", type=float)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--theta", type=float)
+    for key, flag in MODEL_PARAMS.items():
+        sub.add_argument(flag, dest=key, type=float)
     sub.add_argument("--bc", choices=("open", "periodic"), default="open")
 
 
 def _flags_report(rep: Report, flags: structured.StructureFlags) -> None:
-    for f in dataclasses.fields(flags):
-        if f.name not in ("omega", "residuals"):
-            rep.add(f.name, str(getattr(flags, f.name)).lower())
+    for name in structured._FLAG_NAMES:
+        rep.add(name, str(getattr(flags, name)).lower())
     if flags.omega is not None:
         rep.add("omega", f"{flags.omega.real:.17g}{flags.omega.imag:+.17g}j")
+
+
+def _write_chain(rep: Report, path: str, state: mps.MPSState, dims: bool = True) -> None:
+    """Write ``state`` to ``path`` as MPS1; report ``written`` and, with ``dims``, its bond dimensions."""
+    fileio.write_mps(path, state)
+    rep.add("written", path)
+    if dims:
+        rep.add("dims", ",".join(str(d) for d in state.dims))
 
 
 # ------------------------------------------------------------------- ham verbs
@@ -134,6 +131,8 @@ def _run_ham(args, rep: Report) -> None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(_g17(v) for v in values) + "\n")
             rep.add("written", args.out)
+        elif args.json:
+            rep.add("values", values.tolist())
         else:
             for v in values:
                 print(_g17(v))
@@ -152,9 +151,7 @@ def _run_ham(args, rep: Report) -> None:
 def _run_mps(args, rep: Report) -> None:
     if args.verb == "from-vector":
         state = mps.from_vector(fileio.read_vec(args.vec), tol=args.tol)
-        fileio.write_mps(args.out, state)
-        rep.add("written", args.out)
-        rep.add("dims", ",".join(str(d) for d in state.dims))
+        _write_chain(rep, args.out, state)
     elif args.verb == "to-vector":
         x = mps.to_vector(fileio.read_mps(args.mps))
         fileio.write_vec(args.out, x)
@@ -174,15 +171,11 @@ def _run_mps(args, rep: Report) -> None:
             for j, lam in enumerate(vform.lambdas, start=1):
                 rep.add(f"lambda_{j}", ",".join(_g17(v) for v in lam))
             out = mps.vidal_to_a(vform, "left")
-        fileio.write_mps(args.out, out)
-        rep.add("written", args.out)
-        rep.add("dims", ",".join(str(d) for d in out.dims))
+        _write_chain(rep, args.out, out)
     elif args.verb == "truncate":
         state = fileio.read_mps(args.mps)
         out = mps.truncate(state, d_max=args.dmax, tol=args.tol)
-        fileio.write_mps(args.out, out)
-        rep.add("written", args.out)
-        rep.add("dims", ",".join(str(d) for d in out.dims))
+        _write_chain(rep, args.out, out)
     elif args.verb == "check":
         state = fileio.read_mps(args.mps)
         report = mps.check_gauge(state)
@@ -215,19 +208,12 @@ def _run_sym(args, rep: Report) -> None:
     elif args.verb == "orbits":
         report = symmetry.orbits(args.bits)
         # orbit reports are newline-delimited sorted bit strings per section
-        if args.json:
-            rep.add("shift_orbit", sorted(report.shift_orbit))
-            rep.add("flip_orbit", sorted(report.flip_orbit))
-            rep.add("reverse_orbit", sorted(report.reverse_orbit))
-        else:
-            for name, orbit in (
-                ("shift_orbit", report.shift_orbit),
-                ("flip_orbit", report.flip_orbit),
-                ("reverse_orbit", report.reverse_orbit),
-            ):
-                print(name)
-                for bits in sorted(orbit):
-                    print(bits)
+        for name in ("shift_orbit", "flip_orbit", "reverse_orbit"):
+            orbit = sorted(getattr(report, name))
+            if args.json:
+                rep.add(name, orbit)
+            else:
+                print(name, *orbit, sep="\n")
     elif args.verb == "dof":
         kinds = [k for k in args.kinds.split(",") if k]
         report = symmetry.dof_count(args.p, kinds)
@@ -261,9 +247,7 @@ def _run_sym_construct(args, rep: Report) -> None:
             state, witness = symmetry.reverse_construct(base)
         else:  # bitflip
             state, witness = symmetry.bitflip_construct(base, sign=args.sign)
-    fileio.write_mps(args.out, state)
-    rep.add("written", args.out)
-    rep.add("dims", ",".join(str(d) for d in state.dims))
+    _write_chain(rep, args.out, state)
     if args.wit:
         fileio.write_witness(args.wit, witness)
         rep.add("witness", args.wit)
@@ -284,15 +268,13 @@ def _run_sym_normal_form(args, rep: Report) -> None:
         state = fileio.read_mps(args.mps)
         witness = fileio.read_witness(args.wit)
         out, diag = symmetry.bitflip_normal_form(state, witness)
-        fileio.write_mps(args.out, out)
-        rep.add("written", args.out)
+        _write_chain(rep, args.out, out, dims=False)
         if args.wit_out:
             fileio.write_witness(args.wit_out, diag)
             rep.add("witness", args.wit_out)
     elif kind == "ti":
         out = symmetry.ti_chain_normal_form(fileio.read_mps(args.mps))
-        fileio.write_mps(args.out, out)
-        rep.add("written", args.out)
+        _write_chain(rep, args.out, out, dims=False)
     else:  # fullbit
         lam, b = symmetry.fullbit_normal_form(fileio.read_mat(args.mat))
         fileio.write_mat(args.out, lam)
@@ -332,13 +314,20 @@ def _run_struct(args, rep: Report) -> None:
 
 # --------------------------------------------------------------------- parser
 
+def _verb_group(groups, name: str, help: str, run):
+    """The verbs of group ``name``, whose commands ``main`` runs with ``run``."""
+    group = groups.add_parser(name, help=help)
+    group.set_defaults(run=run)
+    return group.add_subparsers(dest="verb", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symtt", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="emit one JSON object instead of key=value lines")
     parser.add_argument("--seed", type=int, default=0, help="seed for any randomized checks (default 0)")
     groups = parser.add_subparsers(dest="group", required=True)
 
-    ham = groups.add_parser("ham", help="Hamiltonian builders").add_subparsers(dest="verb", required=True)
+    ham = _verb_group(groups, "ham", "Hamiltonian builders", _run_ham)
     sub = ham.add_parser("build")
     _add_model_args(sub, required=True)
     sub.add_argument("--out", required=True)
@@ -353,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(sub, required=True)
     sub.add_argument("--out")
 
-    mpsg = groups.add_parser("mps", help="matrix product state operations").add_subparsers(dest="verb", required=True)
+    mpsg = _verb_group(groups, "mps", "matrix product state operations", _run_mps)
     sub = mpsg.add_parser("from-vector")
     sub.add_argument("vec")
     sub.add_argument("--tol", type=float, default=0.0)
@@ -377,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("mps")
     sub.add_argument("--gauge", choices=("left", "right", "strong"), default="left")
 
-    symg = groups.add_parser("sym", help="symmetry detection and constructions").add_subparsers(dest="verb", required=True)
+    symg = _verb_group(groups, "sym", "symmetry detection and constructions", _run_sym)
     sub = symg.add_parser("detect")
     sub.add_argument("vec")
     sub.add_argument("--tol", type=float, default=EPS_SYM)
@@ -408,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--kinds", required=True, help="comma-separated: bitshift,bitflip,reverse")
 
-    structg = groups.add_parser("struct", help="structured-matrix transforms").add_subparsers(dest="verb", required=True)
+    structg = _verb_group(groups, "struct", "structured-matrix transforms", _run_struct)
     sub = structg.add_parser("classify")
     sub.add_argument("mat")
     sub.add_argument("--tol", type=float, default=EPS_STRUCT)
@@ -430,28 +419,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # verb names are unique across the groups
+    if args.verb == "certify" and args.matrix is None and args.model is None:
+        parser.error("ham certify needs a MAT1 file or --model")
+    if args.verb == "construct":
+        if args.kind == "fullbit" and (args.mat is None or args.p is None):
+            parser.error("sym construct --kind fullbit needs --mat and --p")
+        if args.kind != "fullbit" and args.vec is None:
+            parser.error(f"sym construct --kind {args.kind} needs --vec")
+    if args.verb == "normal-form":
+        needed = {"reverse": ("vec",), "bitflip": ("mps", "wit", "out"), "ti": ("mps", "out"), "fullbit": ("mat", "out", "out2")}
+        for field in needed[args.kind]:
+            if getattr(args, field) is None:
+                parser.error(f"sym normal-form --kind {args.kind} needs --{field}")
     rep = Report()
     try:
-        if args.group == "ham":
-            if args.verb == "certify" and args.matrix is None and args.model is None:
-                parser.error("ham certify needs a MAT1 file or --model")
-            _run_ham(args, rep)
-        elif args.group == "mps":
-            _run_mps(args, rep)
-        elif args.group == "sym":
-            if args.verb == "construct":
-                if args.kind == "fullbit" and (args.mat is None or args.p is None):
-                    parser.error("sym construct --kind fullbit needs --mat and --p")
-                if args.kind != "fullbit" and args.vec is None:
-                    parser.error(f"sym construct --kind {args.kind} needs --vec")
-            if args.verb == "normal-form":
-                needed = {"reverse": ("vec",), "bitflip": ("mps", "wit", "out"), "ti": ("mps", "out"), "fullbit": ("mat", "out", "out2")}
-                for field in needed[args.kind]:
-                    if getattr(args, field) is None:
-                        parser.error(f"sym normal-form --kind {args.kind} needs --{field}")
-            _run_sym(args, rep)
-        else:
-            _run_struct(args, rep)
+        args.run(args, rep)
     except (SymttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

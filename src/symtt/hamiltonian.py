@@ -14,12 +14,14 @@ bit-identical to a dense Kronecker fold for any factors, with sums that
 cancel to 0 dropped.  ``assemble`` scatters them into the dense matrix
 (``ham build``); nothing else forms a d^p x d^p matrix.  ``certify_structure``
 reads them through ``structured``'s residual pass and its ``_nonzero_view``,
-and ``ground_state`` and ``ham spectrum`` solve the symmetry sectors of
-``_Sectors`` (translations or mirror, times the global flip, which is the
-paper's exchange J), whose generators are admitted by comparisons at any
-scale of the couplings.  Each path guards its measured peak before it
-allocates: per term nonzero and per basis state before the nonzeros are
-built, and the largest sector block on top before any block is.
+and ``ground_state`` and ``ham spectrum`` solve, at unit scale (the nonzeros
+times an exact power of two), the symmetry sectors of ``_Sectors``
+(translations or mirror, times the global flip, which is the paper's
+exchange J), whose generators are admitted by comparisons at any scale of
+the couplings.  A model whose entries or eigenvalues are past float64's
+range is refused.  Each path guards its measured peak before it allocates:
+per term nonzero and per basis state before the nonzeros are built, and the
+largest sector block on top before any block is.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._constants import _CHAIN_MODELS, MODEL_NAMES
+from ._constants import _CHAIN_MODELS, MODEL_NAMES, MODEL_PARAMS
 from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
-from .linalg import EPS_LIN, _fix_phases, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
+from .linalg import _NORM_RANGE, EPS_LIN, _fix_phases, _ldexp, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
 from .structured import _NONZERO_STATE_BYTES, EPS_STRUCT, StructureFlags, _classify, _nonzero_view
 
 #: bytes per term nonzero held while a model's nonzeros are built and used:
@@ -179,9 +181,6 @@ def _spin1_bond_terms(p: int, boundary: str, lin: float, quad: float) -> list[Lo
     return terms
 
 
-_PARAM_KEYS = {"jx", "jy", "jz", "lam", "theta"}
-
-
 def model(name: str, p: int, params: dict | None = None, boundary: str = "open") -> HamiltonianSpec:
     """Build the term list of a named model.
 
@@ -196,7 +195,7 @@ def model(name: str, p: int, params: dict | None = None, boundary: str = "open")
     if boundary not in ("open", "periodic"):
         raise BadParamsError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     params = dict(params or {})
-    unknown = set(params) - _PARAM_KEYS
+    unknown = params.keys() - MODEL_PARAMS
     if unknown:
         raise BadParamsError(f"unknown parameters: {sorted(unknown)}")
     for key, val in params.items():
@@ -255,6 +254,7 @@ def _nonzero_bytes(spec: HamiltonianSpec, state_bytes: int) -> tuple[int, int]:
     return count, _NONZERO_BYTES * count + state_bytes * spec.d**spec.p
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past float64's range is refused below
 def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the model's nonzeros, in row-major order:
     the one way a model becomes numbers.
@@ -266,7 +266,8 @@ def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, 
     +-0 to a block entry that starts at 0.0 changes nothing.  The values are
     float64 when every imaginary part is zero, else complex128.  The guard
     counts ``_NONZERO_BYTES`` per term nonzero plus the caller's
-    ``state_bytes`` per basis state, before anything is built.
+    ``state_bytes`` per basis state, before anything is built.  A value or a
+    sum past float64's range is refused.
     """
     n = spec.d**spec.p
     count, nbytes = _nonzero_bytes(spec, state_bytes)
@@ -288,6 +289,8 @@ def _nonzeros(spec: HamiltonianSpec, state_bytes: int = 0) -> tuple[np.ndarray, 
     out = np.zeros(len(uniq), dtype=vals.dtype)
     np.add.at(out, inv, vals)
     del inv, vals
+    if not np.isfinite(out).all():
+        raise BadParamsError("a matrix entry of the model overflows float64")
     if np.iscomplexobj(out) and not out.imag.any():
         out = out.real
     nonzero = out != 0
@@ -546,6 +549,7 @@ class _Sectors:
         return {name: cj if name == "momentum" else 1 - 2 * cj for (name, _, _), cj in zip(self.gens, c)}
 
 
+@np.errstate(over="ignore")  # only scaling back can overflow: a value is refused, ||h||_F may be inf
 def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     """Every eigenvalue of the model, ascending, the sector sizes and, with
     ``vector``, (ground vector, its sector's characters, residual, ||h||_F).
@@ -558,9 +562,16 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     The guards: nonzeros and index arrays before they are built, and with
     them ``_EIGH_ARRAYS`` (``_EIGVALSH_ARRAYS`` without ``vector``) matrices
     of the largest block before any block is.
+
+    The nonzeros are solved at unit scale: when their largest real or
+    imaginary part is outside ``_NORM_RANGE``, times 2^-e (e its exponent),
+    exactly, with the values, residual and ||h||_F scaled back by 2^e.
     """
     n = spec.d**spec.p
     rows, cols, vals = _nonzeros(spec, _INDEX_BYTES)
+    top = float(np.abs(vals.view(np.float64)).max(initial=0.0))
+    e = 0 if top == 0 or _NORM_RANGE[0] <= top <= _NORM_RANGE[1] else math.frexp(top)[1]
+    vals = _ldexp(vals, -e)
     sectors = _Sectors(spec, rows, cols, vals)
     order, c = max((sectors.order(c), c) for c in sectors.members)
     arrays = _EIGH_ARRAYS if vector else _EIGVALSH_ARRAYS
@@ -575,7 +586,9 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
         values += [w, w] if twin else [w]
         if lowest is None or w[0] < lowest[0]:
             lowest = (w[0], c)
-    values = np.sort(np.concatenate(values))
+    values = _ldexp(np.sort(np.concatenate(values)), e)
+    if not np.isfinite(values).all():
+        raise BadParamsError("an eigenvalue of the model overflows float64")
     sizes = tuple(m for m in map(sectors.order, sectors.members) if m)
     if not vector:
         return values, sizes, None
@@ -588,8 +601,8 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     vec += 0.0  # turns the -0.0 that a phase of -1 leaves on zeros into 0.0
     hv = np.zeros(n, dtype=np.complex128)  # h v from the nonzeros
     np.add.at(hv, rows, vals * vec[cols])
-    residual = frob(hv - values[0] * vec)
-    return values, sizes, (vec, sectors.characters(c), residual, frob(vals))
+    residual = frob(hv - lowest[0] * vec)  # values[0] scaled back to a subnormal has lost bits
+    return values, sizes, (vec, sectors.characters(c), float(np.ldexp(residual, e)), float(np.ldexp(frob(vals), e)))
 
 
 def ground_state(spec: HamiltonianSpec) -> SpectrumReport:

@@ -341,8 +341,7 @@ def strong_normalize(m: MPSState) -> MPSState:
     """
     if m.boundary != "open":
         raise GaugeViolationError("strong normalization is defined for open chains")
-    report = check_gauge(m)
-    worst = max(report.left[:-1], default=0.0) if m.p > 1 else 0.0
+    worst = max(map(_left_residual, m.sites[:-1]), default=0.0)
     if worst > EPS_GAUGE:
         raise GaugeViolationError(
             f"input must be left-normalized (worst site residual {worst:.2e})"

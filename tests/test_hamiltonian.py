@@ -169,6 +169,24 @@ def test_nonzeros_are_float64_exactly_when_every_sum_is_real(spec):
     assert _nonzeros(spec)[2].dtype == (np.complex128 if want.imag.any() else np.float64)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_model_whose_entries_overflow_is_refused():
+    """A per-entry sum past float64's range (two bonds on one pair of sites)
+    or a coefficient times a factor past it is refused on every path, without
+    a warning; so is an eigenvalue past it, from finite entries."""
+    sum_overflows = model("ising_zz", 2, {"jz": 1e308}, "periodic")
+    term_overflows = HamiltonianSpec(p=1, d=2, boundary="open", terms=(LocalTermSpec(1e308, (2 * pauli("x"),)),))
+    paths = (_nonzeros, assemble, certify_structure, ground_state, lambda spec: _solve_sectors(spec, vector=False))
+    for spec in (sum_overflows, term_overflows):
+        for path in paths:
+            with pytest.raises(BadParamsError, match="matrix entry of the model overflows float64"):
+                path(spec)
+    assert _nonzeros(model("ising_zz", 2, {"jz": 0.5e308}, "periodic"))[2].tolist() == [1e308, -1e308, -1e308, 1e308]
+    for vector in (False, True):  # hx at p = 2 has the eigenvalues +-2e308
+        with pytest.raises(BadParamsError, match="eigenvalue of the model overflows float64"):
+            _solve_sectors(model("hx", 2, {"lam": 1e308}), vector=vector)
+
+
 def test_assemble_guard():
     with pytest.raises(TooLargeError):
         assemble(model("hx", 21))
@@ -694,6 +712,27 @@ def test_certify_structure_does_not_depend_on_scale():
                 got = certify_structure(model(name, p, {key: math.ldexp(v, k) for key, v in params.items()}, boundary))
                 assert got == want and got.omega == want.omega, (name, p, k)
                 assert got.residuals == {key: math.ldexp(r, k) for key, r in want.residuals.items()}, (name, p, k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sector_solve_does_not_depend_on_scale():
+    """Couplings times 2^k give 2^k times the spectrum and ground energy of
+    the unscaled model bit for bit, and the same ground vector, sector sizes
+    and ground sector, at scales where LAPACK would rescale a block or its
+    entries would be subnormal; the couplings have few significant bits, so
+    every entry times 2^k is exact."""
+    params = {"jx": 0.75, "jy": -1.25, "jz": 0.5, "lam": 0.375}
+    for name in MODEL_NAMES[:-2]:  # the spin-1 models take no coupling scale
+        for p in (2, 3, 5, 6):
+            for boundary in ("open", "periodic"):
+                want = ground_state(model(name, p, params, boundary))
+                for k in SCALES:
+                    got = ground_state(model(name, p, {key: math.ldexp(v, k) for key, v in params.items()}, boundary))
+                    case = (name, p, boundary, k)
+                    assert got.values.tobytes() == np.ldexp(want.values, k).tobytes(), case
+                    assert got.ground_energy == math.ldexp(want.ground_energy, k), case
+                    assert got.ground_vector.tobytes() == want.ground_vector.tobytes(), case
+                    assert (got.sector_sizes, got.ground_sector) == (want.sector_sizes, want.ground_sector), case
 
 
 def test_certify_from_nonzeros_matches_classify():

@@ -554,6 +554,7 @@ def test_cli_json_mode(tmp_path, capsys):
     assert "residuals" not in payload
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_domain_error_exit_code(tmp_path, capsys):
     vec = tmp_path / "zero.vec"
     write_vec(vec, np.zeros(8))
@@ -561,6 +562,11 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
     assert run_cli("mps", "from-vector", str(vec), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "nonzero" in err
+    # a model whose entries overflow: two bonds on one pair of sites sum to 2e308
+    model = ["--model", "ising_zz", "--p", "2", "--bc", "periodic", "--jz", "1e308"]
+    for verb in (["certify"], ["ground"], ["spectrum"], ["build", "--out", str(tmp_path / "h.mat")]):
+        assert run_cli("ham", *verb, *model) == 1, verb
+        assert "error: a matrix entry of the model overflows float64" in capsys.readouterr().err, verb
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -832,6 +838,11 @@ def test_cli_ham_spectrum_ground(tmp_path, capsys):
     # without --out the values go to stdout, one a line, before dim
     assert run_cli("ham", "spectrum", "--model", "hx", "--p", "3") == 0
     assert capsys.readouterr().out.splitlines() == spec_file.read_text().splitlines() + ["dim=8"]
+    # with --json they are the one JSON object's "values", before "dim"
+    assert run_cli("--json", "ham", "spectrum", "--model", "hx", "--p", "3") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["values", "dim"] and payload["dim"] == 8
+    assert payload["values"] == [float(v) for v in spec_file.read_text().split()]
     gvec = tmp_path / "g.mat"
     assert run_cli("ham", "ground", "--model", "hx", "--p", "2", "--out", str(gvec)) == 0
     lines = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
