@@ -1,4 +1,4 @@
-"""The model names and parameters, symmetry kinds and tolerances, free of numpy.
+"""The model table and parameters, symmetry kinds and tolerances, free of numpy.
 
 The library modules import these, and the CLI builds its parser from them
 without executing a library module.
@@ -15,25 +15,22 @@ SYMMETRY_KINDS = ("bitshift", "reverse", "bitflip", "fullbit", "firstsite", "las
 #: the parameter keys of ``hamiltonian.model`` and the CLI flag of each
 MODEL_PARAMS = {"jx": "--jx", "jy": "--jy", "jz": "--jz", "lam": "--lambda", "theta": "--theta"}
 
-#: spin-1/2 chain models: the (Pauli axis, coupling key) of each bond sum, in
-#: term order; every one of them ends with the x field of strength lam
-_CHAIN_MODELS = {
-    "ising_zz": (("z", "jz"),),
-    "heis_xx": (("x", "jx"), ("y", "jx")),
-    "heis_xy": (("x", "jx"), ("y", "jy")),
-    "heis_xz": (("x", "jx"), ("z", "jz")),
-    "heis_xxx": (("x", "jx"), ("y", "jx"), ("z", "jx")),
-    "heis_xxz": (("x", "jx"), ("y", "jx"), ("z", "jz")),
-    "heis_xyz": (("x", "jx"), ("y", "jy"), ("z", "jz")),
+#: spin-1/2 models: the (Pauli axis, coupling key) of each bond sum, in term
+#: order, and the (Pauli axis, default lam) of the field after them, or None
+_MODELS = {
+    "ising_zz": ((("z", "jz"),), ("x", 0.0)),
+    "heis_xx": ((("x", "jx"), ("y", "jx")), ("x", 0.0)),
+    "heis_xy": ((("x", "jx"), ("y", "jy")), ("x", 0.0)),
+    "heis_xz": ((("x", "jx"), ("z", "jz")), ("x", 0.0)),
+    "heis_xxx": ((("x", "jx"), ("y", "jx"), ("z", "jx")), ("x", 0.0)),
+    "heis_xxz": ((("x", "jx"), ("y", "jx"), ("z", "jz")), ("x", 0.0)),
+    "heis_xyz": ((("x", "jx"), ("y", "jy"), ("z", "jz")), ("x", 0.0)),
+    "hx": ((), ("x", 1.0)),
+    "hy": ((), ("y", 1.0)),
+    "hz": ((), ("z", 1.0)),
+    "hxx": ((("x", "jx"),), None),
+    "hyy": ((("y", "jy"),), None),
+    "hzz": ((("z", "jz"),), None),
 }
 
-MODEL_NAMES = tuple(_CHAIN_MODELS) + (
-    "hx",
-    "hy",
-    "hz",
-    "hxx",
-    "hyy",
-    "hzz",
-    "aklt",
-    "bilinear_biquadratic",
-)
+MODEL_NAMES = tuple(_MODELS) + ("aklt", "bilinear_biquadratic")

@@ -13,11 +13,11 @@ entry in term order from 0.0 by ``np.add.at`` (as every sum here is),
 bit-identical to a dense Kronecker fold for any factors, with sums that
 cancel to 0 dropped.  ``assemble`` scatters them into the dense matrix
 (``ham build``); nothing else forms a d^p x d^p matrix.  ``certify_structure``
-reads them through ``structured``'s residual pass and its ``_nonzero_view``,
-and ``ground_state`` and ``ham spectrum`` solve, at unit scale (the nonzeros
-times an exact power of two), the symmetry sectors of ``_Sectors``
-(translations or mirror, times the global flip, which is the paper's
-exchange J), whose generators are admitted by comparisons at any scale of
+alone reads them through ``structured`` (its residual pass and
+``_nonzero_view``), and ``ground_state`` and ``ham spectrum`` solve, at unit
+scale (the nonzeros times an exact power of two), the symmetry sectors of
+``_Sectors`` (translations or mirror, times the global flip: the paper's J),
+whose generators are admitted, and ground residual checked, at any scale of
 the couplings.  A model whose entries or eigenvalues are past float64's
 range is refused.  Each path guards its measured peak before it allocates:
 per term nonzero and per basis state before the nonzeros are built, and the
@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._constants import _CHAIN_MODELS, MODEL_NAMES, MODEL_PARAMS
+from . import structured
+from ._constants import _MODELS, EPS_STRUCT, MODEL_NAMES, MODEL_PARAMS
 from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
 from .linalg import _NORM_RANGE, EPS_LIN, _fix_phases, _ldexp, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
-from .structured import _NONZERO_STATE_BYTES, EPS_STRUCT, StructureFlags, _classify, _nonzero_view
 
 #: bytes per term nonzero held while a model's nonzeros are built and used:
 #: traced peaks 12-57 where terms share entries, 79 (hx) and 119 (the
@@ -61,7 +61,7 @@ _SPIN1 = {
     "i": np.eye(3, dtype=np.complex128),
 }
 
-TABLE_MODELS = tuple(_CHAIN_MODELS)
+TABLE_MODELS = tuple(name for name, (sums, fld) in _MODELS.items() if sums and fld)
 
 
 def pauli(name: str) -> np.ndarray:
@@ -152,14 +152,6 @@ def _bonds(p: int, boundary: str) -> list[tuple[int, int]]:
     return bonds
 
 
-def _pair_sum(p: int, boundary: str, op: np.ndarray, coeff: float) -> list[LocalTermSpec]:
-    return [_two_site(p, k, l, op, op, coeff) for k, l in _bonds(p, boundary)]
-
-
-def _field_sum(p: int, op: np.ndarray, coeff: float) -> list[LocalTermSpec]:
-    return [_one_site(p, k, op, coeff) for k in range(p)]
-
-
 def _spin1_bond_terms(p: int, boundary: str, lin: float, quad: float) -> list[LocalTermSpec]:
     """Bilinear and biquadratic spin-1 bond terms.
 
@@ -206,14 +198,14 @@ def model(name: str, p: int, params: dict | None = None, boundary: str = "open")
 
     terms: list[LocalTermSpec] = []
     d = 2
-    if name in _CHAIN_MODELS:
-        for axis, key in _CHAIN_MODELS[name]:
-            terms += _pair_sum(p, boundary, pauli(axis), coupling[key])
-        terms += _field_sum(p, pauli("x"), float(params.get("lam", 0.0)))
-    elif name in ("hx", "hy", "hz"):
-        terms += _field_sum(p, pauli(name[1]), float(params.get("lam", 1.0)))
-    elif name in ("hxx", "hyy", "hzz"):
-        terms += _pair_sum(p, boundary, pauli(name[1]), coupling["j" + name[1]])
+    if name in _MODELS:
+        sums, fld = _MODELS[name]
+        for axis, key in sums:
+            op = pauli(axis)
+            terms += [_two_site(p, k, l, op, op, coupling[key]) for k, l in _bonds(p, boundary)]
+        if fld:
+            op, lam = pauli(fld[0]), float(params.get("lam", fld[1]))
+            terms += [_one_site(p, k, op, lam) for k in range(p)]
     elif name == "aklt":
         d = 3
         terms += _spin1_bond_terms(p, boundary, 1.0, 1.0 / 3.0)
@@ -377,7 +369,7 @@ def fourier_conjugate(h, p: int) -> np.ndarray:
     return x.reshape(n, n)
 
 
-def certify_structure(spec: HamiltonianSpec, tol: float = EPS_STRUCT) -> StructureFlags:
+def certify_structure(spec: HamiltonianSpec, tol: float = EPS_STRUCT) -> structured.StructureFlags:
     """Classify the model's matrix from its nonzeros, with no n x n matrix.
 
     ``structured._residual_norms`` reads ``_nonzeros`` through
@@ -386,8 +378,8 @@ def certify_structure(spec: HamiltonianSpec, tol: float = EPS_STRUCT) -> Structu
     nonzeros.
     """
     require_tol(tol)
-    rows, cols, vals = _nonzeros(spec, _NONZERO_STATE_BYTES)
-    return _classify(_nonzero_view(rows, cols, vals, spec.d**spec.p), frob(vals), tol)
+    rows, cols, vals = _nonzeros(spec, structured._NONZERO_STATE_BYTES)
+    return structured._classify(structured._nonzero_view(rows, cols, vals, spec.d**spec.p), frob(vals), tol)
 
 
 @dataclass(frozen=True)
@@ -549,10 +541,10 @@ class _Sectors:
         return {name: cj if name == "momentum" else 1 - 2 * cj for (name, _, _), cj in zip(self.gens, c)}
 
 
-@np.errstate(over="ignore")  # only scaling back can overflow: a value is refused, ||h||_F may be inf
+@np.errstate(over="ignore")  # only scaling back can overflow: a value is refused, a bound may read inf
 def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     """Every eigenvalue of the model, ascending, the sector sizes and, with
-    ``vector``, (ground vector, its sector's characters, residual, ||h||_F).
+    ``vector``, (ground vector, its sector's characters, residual).
 
     ``eigvalsh`` runs on every sector block, but for a real H on only one of
     each conjugate pair (momenta k and -k), whose values count twice; ``eigh``
@@ -565,7 +557,8 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
 
     The nonzeros are solved at unit scale: when their largest real or
     imaginary part is outside ``_NORM_RANGE``, times 2^-e (e its exponent),
-    exactly, with the values, residual and ||h||_F scaled back by 2^e.
+    exactly.  There a residual over 10 EPS_LIN ||h||_F raises
+    ``ResidualError``, and the values and residual are scaled back by 2^e.
     """
     n = spec.d**spec.p
     rows, cols, vals = _nonzeros(spec, _INDEX_BYTES)
@@ -602,19 +595,19 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     hv = np.zeros(n, dtype=np.complex128)  # h v from the nonzeros
     np.add.at(hv, rows, vals * vec[cols])
     residual = frob(hv - lowest[0] * vec)  # values[0] scaled back to a subnormal has lost bits
-    return values, sizes, (vec, sectors.characters(c), float(np.ldexp(residual, e)), float(np.ldexp(frob(vals), e)))
+    bound = EPS_LIN * frob(vals) * 10
+    if not residual <= bound:  # also rejects a NaN residual
+        raise ResidualError(f"ground eigenpair residual {np.ldexp(residual, e):.3e} exceeds its bound {np.ldexp(bound, e):.3e}")
+    return values, sizes, (vec, sectors.characters(c), float(np.ldexp(residual, e)))
 
 
 def ground_state(spec: HamiltonianSpec) -> SpectrumReport:
     """Full spectrum plus the lowest eigenpair of a model, from its symmetry
-    sectors (``_solve_sectors``); the ground vector has ``eigh``'s phase
-    convention.  Raises ``ResidualError`` when the eigenpair misses its
-    residual bound against the full matrix.
+    sectors (``_solve_sectors``, which raises ``ResidualError`` when the
+    eigenpair misses its residual bound against the full matrix, at unit
+    scale); the ground vector has ``eigh``'s phase convention.
     """
-    values, sizes, (vec, sector, residual, norm) = _solve_sectors(spec, vector=True)
+    values, sizes, (vec, sector, residual) = _solve_sectors(spec, vector=True)
     gap = float(values[1] - values[0]) if len(values) > 1 else 0.0
-    bound = max(EPS_LIN * norm * 10, 1e-9)
-    if not residual <= bound:  # also rejects a NaN residual
-        raise ResidualError(f"ground eigenpair residual {residual:.3e} exceeds its bound {bound:.3e}")
     return SpectrumReport(values=values, ground_energy=float(values[0]), ground_vector=vec, gap=gap,
                           sector_sizes=sizes, residual=residual, ground_sector=sector)

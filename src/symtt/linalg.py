@@ -248,3 +248,8 @@ def exchange_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise BadParamsError(f"order must be >= 1, got {n}")
     return np.fliplr(np.eye(n, dtype=np.complex128))
+
+
+def _flip2(a: np.ndarray) -> np.ndarray:
+    """J a J as an exact entry permutation (reverse both axes)."""
+    return a[::-1, ::-1]

@@ -6,7 +6,7 @@ their behaviour under the exchange matrix, and circulant / omega-circulant
 spectral transforms.
 
 J, q = [[I, J], [I, -J]] / sqrt(2) and the Fourier matrix are applied, never
-built: J A J is the index reversal ``_flip2``, ``_half_blocks`` gives the
+built: J A J reverses indices (``linalg._flip2``), ``_half_blocks`` gives the
 blocks B + JC and B - JC, ``_lift`` takes their eigenvectors back to full
 order, ``BlockPair.q`` is built when read, and circulant spectra are an FFT.
 
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .linalg import (
     _as_matrix,
+    _flip2,
     _NORM_RANGE,
     _ldexp,
     as_cmatrix,
@@ -79,11 +80,6 @@ class StructureFlags:
     diagonal: bool = False
     omega: complex | None = None
     residuals: dict[str, float] = field(default_factory=dict, compare=False)
-
-
-def _flip2(a: np.ndarray) -> np.ndarray:
-    """J a J as an exact entry permutation (reverse both axes)."""
-    return a[::-1, ::-1]
 
 
 def _band(v: np.ndarray) -> np.ndarray:

@@ -30,9 +30,8 @@ from .errors import (
     WitnessViolationError,
     ZeroVectorError,
 )
-from .linalg import as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_bytes, require_site_count, require_tol, schur, svd
+from .linalg import _flip2, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_bytes, require_site_count, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
-from .structured import _flip2
 
 #: complex128 arrays of length 2^p that reverse_normal_form holds at once (its
 #: tracemalloc peak at p = 14 to 18, a real input's complex copy included, is 5.0)

@@ -74,6 +74,82 @@ def test_model_term_counts():
     assert len(model("heis_xyz", 5, boundary="periodic").terms) == 3 * 5 + 5
 
 
+#: every model from the physics, independent of the library's table: a
+#: spin-1/2 model is its nearest-neighbour bond sums, each sum_<kl> J s_k s_l
+#: with one Pauli s on both sites and coupling J, then its field
+#: lam sum_k s_k (Pauli, default lam), or None; the spin-1 models add, per
+#: bond, the bilinear S.S and the biquadratic (S.S)^2 sums
+_SPIN_HALF = {
+    "ising_zz": ([("z", "jz")], ("x", 0.0)),
+    "heis_xx": ([("x", "jx"), ("y", "jx")], ("x", 0.0)),
+    "heis_xy": ([("x", "jx"), ("y", "jy")], ("x", 0.0)),
+    "heis_xz": ([("x", "jx"), ("z", "jz")], ("x", 0.0)),
+    "heis_xxx": ([("x", "jx"), ("y", "jx"), ("z", "jx")], ("x", 0.0)),
+    "heis_xxz": ([("x", "jx"), ("y", "jx"), ("z", "jz")], ("x", 0.0)),
+    "heis_xyz": ([("x", "jx"), ("y", "jy"), ("z", "jz")], ("x", 0.0)),
+    "hx": ([], ("x", 1.0)),
+    "hy": ([], ("y", 1.0)),
+    "hz": ([], ("z", 1.0)),
+    "hxx": ([("x", "jx")], None),
+    "hyy": ([("y", "jy")], None),
+    "hzz": ([("z", "jz")], None),
+}
+_SIGMA = {"x": np.array([[0, 1], [1, 0]], dtype=complex), "y": np.array([[0, -1j], [1j, 0]]),
+          "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+_S1 = [np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2),
+       np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2),
+       np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)]
+
+
+def _expected_terms(name, p, boundary, params):
+    """(coefficient, {site: operator}) of every term, in term order: for a
+    spin-1/2 model every bond of each bond sum, then every site of the
+    field; for a spin-1 model, per bond, its three bilinear and then its
+    nine biquadratic terms.  A self-bond (the wrap-around bond of a 1-site
+    ring) holds the product of its two operators."""
+    params = params or {}
+    bonds = [(k, k + 1) for k in range(p - 1)] + ([(0, p - 1)] if boundary == "periodic" else [])
+
+    def bond(coeff, a, b, k, l):
+        return (coeff, {k: a @ b} if k == l else {k: a, l: b})
+
+    terms, d = [], 2
+    if name in _SPIN_HALF:
+        sums, fld = _SPIN_HALF[name]
+        for axis, key in sums:
+            terms += [bond(params.get(key, 1.0), _SIGMA[axis], _SIGMA[axis], k, l) for k, l in bonds]
+        if fld:
+            terms += [(params.get("lam", fld[1]), {k: _SIGMA[fld[0]]}) for k in range(p)]
+    else:
+        d, theta = 3, params.get("theta", 0.0)
+        lin, quad = (1.0, 1.0 / 3.0) if name == "aklt" else (math.cos(theta), math.sin(theta))
+        for k, l in bonds:
+            if lin != 0.0:
+                terms += [bond(lin, s, s, k, l) for s in _S1]
+            if quad != 0.0:
+                terms += [bond(quad, s @ t, s @ t, k, l) for s in _S1 for t in _S1]
+    return terms or [(0.0, {0: np.zeros((d, d))})]
+
+
+def test_model_terms_are_the_physics():
+    # every model at p = 1, 2, 3 on both boundaries, at default and drawn
+    # couplings: the same coefficients and operators on the same sites, in
+    # the same order (which sets the bits of every sum over the terms)
+    rng = np.random.default_rng(2013)
+    assert set(MODEL_NAMES) == {*_SPIN_HALF, "aklt", "bilinear_biquadratic"}
+    for name in MODEL_NAMES:
+        for p in (1, 2, 3):
+            for boundary in ("open", "periodic"):
+                for params in (None, {key: float(rng.uniform(-2, 2)) for key in ("jx", "jy", "jz", "lam", "theta")}):
+                    got, want = model(name, p, params, boundary).terms, _expected_terms(name, p, boundary, params)
+                    assert len(got) == len(want), (name, p, boundary, params)
+                    for term, (coeff, ops) in zip(got, want):
+                        assert term.coeff == coeff, (name, p, boundary, params)
+                        assert [k for k, f in enumerate(term.factors) if f is not None] == sorted(ops)
+                        for k, op in ops.items():
+                            assert np.array_equal(term.factors[k], op), (name, p, boundary, k)
+
+
 def test_model_rejects_bad_input():
     with pytest.raises(UnknownModelError):
         model("nope", 3)
@@ -481,10 +557,23 @@ def test_ground_state_hx_p2():
     assert np.allclose(rep.ground_vector, want)
 
 
+#: hx fields whose ||h||_F overflows (p = 3), or is subnormal or below 1e-9
+#: (p = 2): a bound taken at the model's scale, or floored at an absolute
+#: 1e-9, would pass any vector there
+_EXTREME_HX = ((3, 5e307), (2, 2.0**-1060), (2, 1e-20))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ground_state_scaled_field():
     lam = 0.37
     rep = ground_state(model("hx", 1, {"lam": lam}))
     assert np.isclose(rep.ground_energy, -lam)
+    # the true pair is accepted past float64's norm range and below 1e-9:
+    # energy -p lam, and the product of p states (1, -1) / sqrt(2)
+    for p, lam in _EXTREME_HX:
+        rep = ground_state(model("hx", p, {"lam": lam}))
+        assert abs(rep.ground_energy / (p * lam) + 1.0) <= 1e-12, (p, lam)
+        assert np.allclose(np.abs(rep.ground_vector), 2.0 ** (-p / 2)), (p, lam)
 
 
 def test_ground_state_ising_oracle():
@@ -619,10 +708,11 @@ def test_ham_verbs_peak_below_a_quarter_of_the_dense_matrix():
         assert peak < 8 * 4**11 / 4
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ground_state_residual_check(monkeypatch):
     # ground_state calls hamiltonian.eigh on the ground sector's block alone:
     # order 2 for hx (mirror +1, flip +1) and 3 for hy (mirror +1); wrong
-    # vectors must trip the check against the full h
+    # vectors must trip the check against the full h, at any field scale
     def wrong_eigh(h):
         orders.append(len(h))
         values = np.linalg.eigvalsh(h)
@@ -634,6 +724,9 @@ def test_ground_state_residual_check(monkeypatch):
         with pytest.raises(ResidualError, match=r"residual .* exceeds its bound"):
             ground_state(model(name, 2))
         assert orders == want
+    for p, lam in _EXTREME_HX:
+        with pytest.raises(ResidualError, match=r"residual .* exceeds its bound"):
+            ground_state(model("hx", p, {"lam": lam}))
 
 
 def _flip_expected(spec) -> bool:

@@ -601,10 +601,12 @@ def test_cli_start_up_never_loads_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("argv, idle", [
-    (["ham", "ground", "--model", "heis_xxz", "--p", "4", "--out", "g.mat"], ["symmetry", "mps"]),
+    (["ham", "ground", "--model", "heis_xxz", "--p", "4", "--out", "g.mat"], ["structured", "symmetry", "mps"]),
     (["mps", "from-vector", "x.vec", "--out", "x.mps"], ["symmetry", "structured", "hamiltonian"]),
-    (["sym", "orbits", "--bits", "0110"], ["hamiltonian", "fileio"]),
-], ids=["ham_ground", "mps_from_vector", "sym_orbits"])
+    (["sym", "orbits", "--bits", "0110"], ["structured", "hamiltonian", "fileio"]),
+    (["ham", "spectrum", "--model", "hx", "--p", "3"], ["structured", "symmetry", "mps", "fileio"]),
+    (["sym", "dof", "--p", "8", "--kinds", "bitshift"], ["structured", "hamiltonian", "fileio"]),
+], ids=["ham_ground", "mps_from_vector", "sym_orbits", "ham_spectrum", "sym_dof"])
 def test_cli_executes_only_the_modules_its_verb_uses(tmp_path, argv, idle):
     # a module is executed once it is in sys.modules and no longer lazy; all
     # six stay registered after the import, as perfbench's tracer reads them
