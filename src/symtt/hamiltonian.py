@@ -558,7 +558,8 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     The nonzeros are solved at unit scale: when their largest real or
     imaginary part is outside ``_NORM_RANGE``, times 2^-e (e its exponent),
     exactly.  There a residual over 10 EPS_LIN ||h||_F raises
-    ``ResidualError``, and the values and residual are scaled back by 2^e.
+    ``ResidualError``, whose message gives both relative to ||h||_F, and the
+    values and residual are scaled back by 2^e.
     """
     n = spec.d**spec.p
     rows, cols, vals = _nonzeros(spec, _INDEX_BYTES)
@@ -595,9 +596,10 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     hv = np.zeros(n, dtype=np.complex128)  # h v from the nonzeros
     np.add.at(hv, rows, vals * vec[cols])
     residual = frob(hv - lowest[0] * vec)  # values[0] scaled back to a subnormal has lost bits
-    bound = EPS_LIN * frob(vals) * 10
-    if not residual <= bound:  # also rejects a NaN residual
-        raise ResidualError(f"ground eigenpair residual {np.ldexp(residual, e):.3e} exceeds its bound {np.ldexp(bound, e):.3e}")
+    norm = frob(vals)
+    if not residual <= EPS_LIN * norm * 10:  # also rejects a NaN residual
+        raise ResidualError(f"ground eigenpair residual {residual / norm:.3e} exceeds its bound "
+                            f"{EPS_LIN * 10:.3e}, both relative to ||h||_F")
     return values, sizes, (vec, sectors.characters(c), float(np.ldexp(residual, e)))
 
 

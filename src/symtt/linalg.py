@@ -4,8 +4,8 @@ Matrices are plain ``numpy.ndarray`` objects of dtype complex128; vectors are
 1-D arrays.  The one exception is a float64 matrix given to ``eigh`` or
 ``structured.classify``: both keep it float64 (``_as_matrix``), so a real
 Hamiltonian never gets a complex128 n x n copy.  The factorizations wrap
-LAPACK (via numpy/scipy) and add the conventions the rest of the package
-relies on:
+LAPACK (via numpy) and add the conventions the rest of the package relies
+on:
 
 * singular values descending, with the largest-magnitude entry of each left
   singular vector rotated to the real non-negative axis (reproducible factors),
@@ -14,13 +14,15 @@ relies on:
 
 ``eigh`` runs a float64 input, or a complex one whose imaginary part is
 exactly zero, through real LAPACK, several times faster than the complex
-routine, and still returns complex128 vectors.  Only ``schur`` needs scipy,
-and it imports ``scipy.linalg`` itself, so importing this package (and
-starting the CLI) never loads scipy.
+routine, and still returns complex128 vectors.  ``schur`` calls LAPACK's
+zgees in the OpenBLAS that numpy's wheel bundles; only on a numpy without
+that routine does it import ``scipy.linalg``, so on numpy's own wheels
+nothing in this package loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -222,16 +224,46 @@ def eigh(a) -> EighResult:
     return EighResult(w, v)
 
 
-def schur(a) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form: returns (q, t) with a = q^H t q, t upper triangular."""
-    import scipy.linalg  # the one scipy user; loading it costs ~0.25 s
+@functools.cache
+def _zgees():
+    """``LAPACKE_zgees`` of the ILP64 OpenBLAS bundled in numpy's wheel (every
+    ``lapack_int`` 64-bit), or None for a numpy linked against another LAPACK."""
+    import ctypes
 
-    m = as_cmatrix(a)
-    require_square(m)
     try:
-        t, z = scipy.linalg.schur(m, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ResidualError(f"Schur iteration did not converge: {exc}") from exc
+        f = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_zgees64_
+    except AttributeError:
+        return None
+    i64, mat = ctypes.c_int64, np.ctypeslib.ndpointer(np.complex128, flags="F_CONTIGUOUS")
+    f.restype = i64
+    f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_void_p, i64, mat, i64,
+                  np.ctypeslib.ndpointer(np.int64), mat, mat, i64]
+    return f
+
+
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form: returns (q, t) with a = q^H t q, t upper triangular.
+
+    zgees with Schur vectors and no sorting, the routine and arguments
+    ``scipy.linalg.schur(output="complex")`` uses; scipy is imported only
+    when numpy lacks the routine (``_zgees``).
+    """
+    m = as_cmatrix(a)
+    n = require_square(m)
+    zgees = _zgees()
+    if zgees is None:
+        import scipy.linalg  # loading it costs ~0.25 s
+
+        try:
+            t, z = scipy.linalg.schur(m, output="complex")
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise ResidualError(f"Schur iteration did not converge: {exc}") from exc
+        return dagger(z), t
+    t, z = np.array(m, order="F"), np.empty((n, n), np.complex128, order="F")
+    # column-major layout, jobvs, sort, select, then n, a, lda, sdim, w, vs, ldvs
+    info = zgees(102, b"V", b"N", None, n, t, n, np.zeros(1, np.int64), np.empty(n, np.complex128), z, n)
+    if info != 0:
+        raise ResidualError(f"Schur iteration did not converge: zgees returned info = {info}")
     return dagger(z), t
 
 

@@ -729,6 +729,20 @@ def test_ground_state_residual_check(monkeypatch):
             ground_state(model("hx", p, {"lam": lam}))
 
 
+def test_ground_state_residual_message_is_at_unit_scale(monkeypatch):
+    # the message shows what was compared: residual / ||h||_F beside
+    # 10 EPS_LIN, so a field of 2^-1060 (whose ||h||_F is subnormal) or
+    # 5e307 (past float64's range) reads the same as at the unit field
+    monkeypatch.setattr("symtt.hamiltonian.eigh",
+                        lambda h: EighResult(np.linalg.eigvalsh(h), np.eye(len(h), dtype=np.complex128)))
+    want = {2: "ground eigenpair residual 1.000e+00 exceeds its bound 1.000e-11, both relative to ||h||_F",
+            3: "ground eigenpair residual 7.071e-01 exceeds its bound 1.000e-11, both relative to ||h||_F"}
+    for p, lam in ((2, 1.0), (2, 2.0**-1060), (3, 1.0), (3, 5e307)):
+        with pytest.raises(ResidualError) as exc:
+            ground_state(model("hx", p, {"lam": lam}))
+        assert str(exc.value) == want[p], (p, lam)
+
+
 def _flip_expected(spec) -> bool:
     """Every model but hy and hz (odd under the global flip) has it."""
     return spec.name not in ("hy", "hz")

@@ -27,6 +27,7 @@ from symtt.fileio import (
     write_vec,
     write_witness,
 )
+from symtt.linalg import dagger, frob
 from symtt.symmetry import SYMMETRY_KINDS
 
 from conftest import line_list_reader, random_complex, random_mps
@@ -585,12 +586,17 @@ def test_cli_usage_error_exit_code(capsys):
         assert message in capsys.readouterr().err, argv
 
 
-def test_cli_start_up_never_loads_scipy(tmp_path):
-    # only linalg.schur needs scipy, and it imports scipy.linalg itself
+def test_cli_start_up_never_loads_scipy(tmp_path, rng):
+    # linalg.schur calls the zgees in numpy's OpenBLAS, so neither start-up
+    # nor the ti normal form's Schur branch (a non-Hermitian site) loads scipy
+    a0 = random_complex(rng, 3, 3)
+    assert frob(a0 - dagger(a0)) > 1.0
+    write_mps(tmp_path / "ti.mps", MPSState([(a0, random_complex(rng, 3, 3))] * 4, boundary="periodic"))
     script = (
         "import sys\n"
         "import symtt.cli\n"
         "code = symtt.cli.main(['ham', 'ground', '--model', 'heis_xxz', '--p', '4', '--out', 'g.mat'])\n"
+        "code += symtt.cli.main(['sym', 'normal-form', '--kind', 'ti', '--mps', 'ti.mps', '--out', 'nf.mps'])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(symtt.__file__).resolve().parents[1])
@@ -598,6 +604,7 @@ def test_cli_start_up_never_loads_scipy(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 []"
+    assert np.linalg.norm(np.tril(read_mps(tmp_path / "nf.mps").sites[0][0], -1)) < 1e-12
 
 
 @pytest.mark.parametrize("argv, idle", [

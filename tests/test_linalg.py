@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, reverse_construct, reverse_normal_form, schur, svd, ti_construct, to_vector
 from symtt import linalg
-from symtt.errors import NotHermitianError, TooLargeError
+import symtt
+from symtt.errors import NotHermitianError, ResidualError, TooLargeError
 from symtt.fileio import write_mps
 from symtt.hamiltonian import ground_state, pauli
 from symtt.linalg import dagger, frob, rank_from_sigma, require_bytes, split
@@ -194,6 +199,54 @@ def test_schur_cases(rng):
     q, t = schur(a)
     assert frob(dagger(q) @ t @ q - a) <= EPS_LIN * frob(a) * 10
     assert frob(np.tril(t, -1)) <= EPS_LIN * frob(a)
+
+
+_SCHUR_VS_SCIPY = """
+import sys
+import numpy as np
+import scipy.linalg
+from symtt import linalg
+if linalg._zgees() is None:
+    sys.exit(3)
+rng = np.random.default_rng(1301)
+differ = []
+for n in (1, 2, 3, 5, 17, 64, 320):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for kind, x in (("complex", a), ("real", a.real), ("hermitian", a + a.conj().T), ("triangular", np.triu(a))):
+        q, t = linalg.schur(x)
+        ts, zs = scipy.linalg.schur(np.asarray(x, dtype=np.complex128), output="complex")
+        if not (np.array_equal(t, ts) and np.array_equal(q, linalg.dagger(zs))):
+            differ.append((n, kind))
+print(differ)
+"""
+
+
+def test_schur_is_scipy_bit_for_bit():
+    # numpy's and scipy's OpenBLAS both read the thread count when they load;
+    # at two threads the larger sizes may give another, equally valid form
+    src = str(Path(symtt.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _SCHUR_VS_SCIPY], env=env, capture_output=True, text=True)
+    if run.returncode == 3:
+        pytest.skip("numpy's LAPACK has no scipy_LAPACKE_zgees64_")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_schur_without_numpys_zgees_falls_back_to_scipy(monkeypatch, rng):
+    cases = [random_complex(rng, n, n) for n in (1, 2, 6, 17)] + [pauli("x"), np.triu(random_complex(rng, 5, 5))]
+    want = [schur(a) for a in cases]
+    monkeypatch.setattr(linalg, "_zgees", lambda: None)
+    for a, (q, t) in zip(cases, want):
+        got_q, got_t = schur(a)
+        assert np.array_equal(got_q, q) and np.array_equal(got_t, t)
+
+
+def test_schur_unconverged_is_a_residual_error(monkeypatch):
+    monkeypatch.setattr(linalg, "_zgees", lambda: lambda *args: 2)  # info > 0: the QR iteration failed
+    with pytest.raises(ResidualError, match=r"^Schur iteration did not converge: zgees returned info = 2$"):
+        schur(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_fourier_matrix():

@@ -15,7 +15,8 @@ how many pairs the change won (a tie counts for neither side) and the ratio
 of the medians.  The trees are only read: the runs write nothing but
 ``perfbench/run.py``'s own ``.perfbench_work/`` (ignored by git), and the
 source tree hashes are computed in memory, as git would give them once the
-tree's files under ``src/`` were committed.
+tree's files under ``src/`` were committed.  A tree need not be a git
+checkout: a plain copy, such as ``git archive`` output, is hashed too.
 """
 
 from __future__ import annotations
@@ -45,16 +46,25 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     return {**metrics, "attempted": result["attempted"], "failed": result["failed"]}, env
 
 
-def git(tree: Path, *args: str) -> str:
-    return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True,
-                          check=True).stdout
+def git(tree: Path, *args: str) -> str | None:
+    """git's stdout, or None where it fails, as in a tree that is not a git checkout."""
+    try:
+        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout if proc.returncode == 0 else None
 
 
 def src_tree_hash(tree: Path) -> str:
-    """git's tree hash of ``src/`` over its tracked and unignored files."""
+    """git's tree hash of ``src/`` over its tracked and unignored files; in a
+    tree that is not a git checkout, over every file but ``__pycache__/`` and
+    ``*.pyc``."""
     files = git(tree, "ls-files", "-z", "--cached", "--others", "--exclude-standard", "--", "src")
+    rels = files.split("\0") if files is not None else [
+        path.relative_to(tree).as_posix() for path in (tree / "src").rglob("*")
+        if "__pycache__" not in path.parts and path.suffix != ".pyc"]
     entries: dict = {}
-    for rel in filter(None, files.split("\0")):
+    for rel in filter(None, rels):
         path = tree / rel
         if path.is_file():
             node = entries
@@ -83,8 +93,10 @@ def src_tree_hash(tree: Path) -> str:
 
 
 def commit_of(tree: Path, src_tree: str) -> str:
-    head = git(tree, "rev-parse", "HEAD").strip()
-    if git(tree, "rev-parse", "HEAD:src").strip() == src_tree:
+    head = (git(tree, "rev-parse", "HEAD") or "").strip()
+    if not head:
+        return "not a git checkout"
+    if (git(tree, "rev-parse", "HEAD:src") or "").strip() == src_tree:
         return head
     return f"uncommitted, on top of {head}"
 
