@@ -3,6 +3,8 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location("benchpair", Path(__file__).resolve().parents[1] / "tools" / "benchpair.py")
 benchpair = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(benchpair)
@@ -10,7 +12,7 @@ _SPEC.loader.exec_module(benchpair)
 
 def test_src_tree_hash_of_a_plain_copy_is_gits(tmp_path):
     # a git archive of a commit has no .git, but the same src/ tree hash;
-    # __pycache__/ and *.pyc are ignored in the checkout and skipped in the copy
+    # __pycache__/ and *.pyc are skipped in both
     repo = tmp_path / "repo"
     for rel, text in (("src/pkg/__init__.py", ""), ("src/pkg/mod.py", "x = 1\n"), ("src/pkg/sub/data.txt", "d\n"),
                       ("src/top.py", "y = 2\n"), (".gitignore", "__pycache__/\n*.pyc\n"), ("README", "r\n")):
@@ -34,3 +36,10 @@ def test_src_tree_hash_of_a_plain_copy_is_gits(tmp_path):
     assert benchpair.src_tree_hash(copy) == want
     assert benchpair.commit_of(repo, got) == head
     assert benchpair.commit_of(copy, got) == "not a git checkout"
+
+
+def test_commit_of_raises_other_git_errors(tmp_path):
+    # a checkout without a commit is a git error, not a plain copy
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    with pytest.raises(subprocess.CalledProcessError):
+        benchpair.commit_of(tmp_path, "")

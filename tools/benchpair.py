@@ -15,8 +15,10 @@ how many pairs the change won (a tie counts for neither side) and the ratio
 of the medians.  The trees are only read: the runs write nothing but
 ``perfbench/run.py``'s own ``.perfbench_work/`` (ignored by git), and the
 source tree hashes are computed in memory, as git would give them once the
-tree's files under ``src/`` were committed.  A tree need not be a git
-checkout: a plain copy, such as ``git archive`` output, is hashed too.
+tree's files under ``src/`` (all but ``__pycache__/`` and ``*.pyc``) were
+committed.  A tree need not be a git checkout: a plain copy, such as ``git
+archive`` output, is hashed too and its commit reads "not a git checkout";
+any other git error stops the run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -46,29 +49,19 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     return {**metrics, "attempted": result["attempted"], "failed": result["failed"]}, env
 
 
-def git(tree: Path, *args: str) -> str | None:
-    """git's stdout, or None where it fails, as in a tree that is not a git checkout."""
-    try:
-        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
-    except OSError:
-        return None
-    return proc.stdout if proc.returncode == 0 else None
+def git(tree: Path, *args: str) -> str:
+    # LC_ALL=C keeps git's messages untranslated, for commit_of to read
+    return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "LC_ALL": "C"}).stdout
 
 
 def src_tree_hash(tree: Path) -> str:
-    """git's tree hash of ``src/`` over its tracked and unignored files; in a
-    tree that is not a git checkout, over every file but ``__pycache__/`` and
-    ``*.pyc``."""
-    files = git(tree, "ls-files", "-z", "--cached", "--others", "--exclude-standard", "--", "src")
-    rels = files.split("\0") if files is not None else [
-        path.relative_to(tree).as_posix() for path in (tree / "src").rglob("*")
-        if "__pycache__" not in path.parts and path.suffix != ".pyc"]
+    """git's tree hash of ``src/`` over every file but ``__pycache__/`` and ``*.pyc``."""
     entries: dict = {}
-    for rel in filter(None, rels):
-        path = tree / rel
-        if path.is_file():
+    for path in (tree / "src").rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts and path.suffix != ".pyc":
             node = entries
-            *dirs, name = Path(rel).relative_to("src").parts
+            *dirs, name = path.relative_to(tree / "src").parts
             for d in dirs:
                 node = node.setdefault(d, {})
             node[name] = path
@@ -93,10 +86,13 @@ def src_tree_hash(tree: Path) -> str:
 
 
 def commit_of(tree: Path, src_tree: str) -> str:
-    head = (git(tree, "rev-parse", "HEAD") or "").strip()
-    if not head:
-        return "not a git checkout"
-    if (git(tree, "rev-parse", "HEAD:src") or "").strip() == src_tree:
+    try:
+        head = git(tree, "rev-parse", "HEAD").strip()
+    except subprocess.CalledProcessError as err:
+        if "not a git repository" in err.stderr:
+            return "not a git checkout"
+        raise
+    if git(tree, "rev-parse", "HEAD:src").strip() == src_tree:
         return head
     return f"uncommitted, on top of {head}"
 
