@@ -15,10 +15,9 @@ cancel to 0 dropped.  ``assemble`` scatters them into the dense matrix
 (``ham build``); nothing else forms a d^p x d^p matrix.  ``certify_structure``
 alone reads them through ``structured`` (its residual pass and
 ``_nonzero_view``), and ``ground_state`` and ``ham spectrum`` solve, at unit
-scale (the nonzeros times an exact power of two), the symmetry sectors of
-``_Sectors`` (translations or mirror, times the global flip: the paper's J),
-whose generators are admitted, and ground residual checked, at any scale of
-the couplings.  A model whose entries or eigenvalues are past float64's
+scale (``linalg._unit``), the symmetry sectors of ``_Sectors`` (translations
+or mirror, times the global flip: the paper's J), whose generators are
+admitted, and ground residual checked, at any scale of the couplings.  A model whose entries or eigenvalues are past float64's
 range is refused.  Each path guards its measured peak before it allocates:
 per term nonzero and per basis state before the nonzeros are built, and the
 largest sector block on top before any block is.
@@ -34,7 +33,7 @@ import numpy as np
 from . import structured
 from ._constants import _MODELS, EPS_STRUCT, MODEL_NAMES, MODEL_PARAMS
 from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
-from .linalg import _NORM_RANGE, EPS_LIN, _fix_phases, _ldexp, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
+from .linalg import EPS_LIN, _fix_phases, _unit, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
 
 #: bytes per term nonzero held while a model's nonzeros are built and used:
 #: traced peaks 12-57 where terms share entries, 79 (hx) and 119 (the
@@ -379,7 +378,8 @@ def certify_structure(spec: HamiltonianSpec, tol: float = EPS_STRUCT) -> structu
     """
     require_tol(tol)
     rows, cols, vals = _nonzeros(spec, structured._NONZERO_STATE_BYTES)
-    return structured._classify(structured._nonzero_view(rows, cols, vals, spec.d**spec.p), frob(vals), tol)
+    vals, e = _unit(vals)
+    return structured._classify(structured._nonzero_view(rows, cols, vals, spec.d**spec.p), frob(vals), tol, e)
 
 
 @dataclass(frozen=True)
@@ -555,17 +555,14 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
     them ``_EIGH_ARRAYS`` (``_EIGVALSH_ARRAYS`` without ``vector``) matrices
     of the largest block before any block is.
 
-    The nonzeros are solved at unit scale: when their largest real or
-    imaginary part is outside ``_NORM_RANGE``, times 2^-e (e its exponent),
-    exactly.  There a residual over 10 EPS_LIN ||h||_F raises
-    ``ResidualError``, whose message gives both relative to ||h||_F, and the
-    values and residual are scaled back by 2^e.
+    The nonzeros are solved at unit scale (``linalg._unit``), times 2^-e.
+    There a residual over 10 EPS_LIN ||h||_F raises ``ResidualError``, whose
+    message gives both relative to ||h||_F, and the values and residual are
+    scaled back by 2^e.
     """
     n = spec.d**spec.p
     rows, cols, vals = _nonzeros(spec, _INDEX_BYTES)
-    top = float(np.abs(vals.view(np.float64)).max(initial=0.0))
-    e = 0 if top == 0 or _NORM_RANGE[0] <= top <= _NORM_RANGE[1] else math.frexp(top)[1]
-    vals = _ldexp(vals, -e)
+    vals, e = _unit(vals)
     sectors = _Sectors(spec, rows, cols, vals)
     order, c = max((sectors.order(c), c) for c in sectors.members)
     arrays = _EIGH_ARRAYS if vector else _EIGVALSH_ARRAYS
@@ -580,7 +577,7 @@ def _solve_sectors(spec: HamiltonianSpec, vector: bool):
         values += [w, w] if twin else [w]
         if lowest is None or w[0] < lowest[0]:
             lowest = (w[0], c)
-    values = _ldexp(np.sort(np.concatenate(values)), e)
+    values = np.ldexp(np.sort(np.concatenate(values)), e)
     if not np.isfinite(values).all():
         raise BadParamsError("an eigenvalue of the model overflows float64")
     sizes = tuple(m for m in map(sectors.order, sectors.members) if m)

@@ -12,6 +12,12 @@ on:
 * Hermitian eigenvalues ascending, eigenvector phases fixed the same way,
 * strict Hermiticity checks before ``eigh``.
 
+One scale rule serves every relative check of the package: ``_unit`` takes
+an array to unit scale, times 2^-e with e the exponent of its largest real
+or imaginary part (exact for every entry that stays normal), and returns the
+array itself, with e = 0, when that part is 0 or within ``_NORM_RANGE``.  So
+no flag, symmetry or Hermiticity decision depends on the input's scale.
+
 ``eigh`` runs a float64 input, or a complex one whose imaginary part is
 exactly zero, through real LAPACK, several times faster than the complex
 routine, and still returns complex128 vectors.  ``schur`` calls LAPACK's
@@ -38,7 +44,7 @@ EPS_RANK = 1e-12
 #: entries an MPS1 file holds; compared only in ``require_bytes``
 MAX_DENSE_BYTES = 2**30
 #: a plain norm (a sum of squares) outside this range may have lost squares
-#: to underflow or overflow; ``frob`` and the structure pass then rescale
+#: to underflow or overflow; ``frob`` and ``_unit`` read it, nothing else
 _NORM_RANGE = (2.0**-400, 2.0**400)
 
 
@@ -76,26 +82,33 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def frob(a: np.ndarray) -> float:
     """Frobenius norm at any scale: a plain norm outside ``_NORM_RANGE`` is
-    taken again of ``a`` times 2^-e, e the exponent of its largest real or
-    imaginary part, and scaled back, both exactly."""
+    taken again at unit scale (the scale rule above) and scaled back, exactly."""
     with np.errstate(over="ignore"):  # taken again below; inf only past float64's range
         norm = float(np.linalg.norm(a))
         if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
             return norm
-        a = np.asarray(a)
-        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-        e = math.frexp(max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts))[1]
-        return float(np.ldexp(np.linalg.norm(_ldexp(a, -e)), e)) if e else norm
+        s, e = _unit(np.asarray(a))
+        return float(np.ldexp(np.linalg.norm(s), e)) if e else norm
 
 
-def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
-    """``a`` times 2^e, its real and imaginary parts each by ``np.ldexp``,
-    exact unless an entry leaves the normal range; ``a`` itself for e = 0."""
-    if e == 0 or not np.iscomplexobj(a):
-        return np.ldexp(a, e) if e else a
+def _unit(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a times 2^-e, e) by the scale rule of the module docstring."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in parts)
+    if top == 0 or _NORM_RANGE[0] <= top <= _NORM_RANGE[1]:
+        return a, 0
+    e = math.frexp(top)[1]
+    if len(parts) == 1:
+        return np.ldexp(a, -e), e
     out = np.empty(a.shape, dtype=np.complex128)
-    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
-    return out
+    out.real, out.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return out, e
+
+
+def _is_hermitian(a: np.ndarray, tol: float) -> bool:
+    """||s - s^H||_F <= tol ||s||_F for s = a at unit scale (``_unit``)."""
+    s = _unit(a)[0]
+    return frob(s - dagger(s)) <= tol * frob(s)
 
 
 def require_tol(tol: float) -> None:
@@ -126,14 +139,6 @@ def require_square(a: np.ndarray) -> int:
 def kron(a, b) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
     return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-def kron_chain(factors) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
 
 
 class SvdResult(NamedTuple):
@@ -203,15 +208,13 @@ def eigh(a) -> EighResult:
     A float64 input is solved as it is, and a complex one whose imaginary
     part is exactly zero through its real part, both in real arithmetic; the
     vectors come back as complex128 either way.  Raises NotHermitianError
-    when ||a - a^H||_F > EPS_LIN * ||a||_F, for a norm past ``_NORM_RANGE``
-    compared at 2^-1024 times both; LAPACK scales a Hermitian a itself, and
-    eigenvalues past float64's range come back inf.
+    when ||a - a^H||_F > EPS_LIN * ||a||_F, compared at unit scale (the
+    scale rule above); LAPACK scales a Hermitian a itself, and eigenvalues
+    past float64's range come back inf.
     """
     m = _as_matrix(a)
     require_square(m)
-    scale = frob(m)
-    s = _ldexp(m, -1024) if scale > _NORM_RANGE[1] else m
-    if frob(s - dagger(s)) > EPS_LIN * (scale if s is m else frob(s)):
+    if not _is_hermitian(m, EPS_LIN):
         raise NotHermitianError(
             f"matrix is not Hermitian within {EPS_LIN:g} relative tolerance"
         )

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroVectorError,
 )
-from .linalg import as_cvector, dagger, frob, require_bytes, split, svd
+from .linalg import as_cvector, dagger, frob, require_bytes, require_tol, split, svd
 
 #: largest left-gauge residual strong_normalize accepts on its input
 EPS_GAUGE = 1e-8
@@ -177,6 +177,7 @@ def from_vector(x, tol: float = 0.0) -> MPSState:
     max(tol, EPS_RANK).  The result is left-normalized at every site except
     the last.
     """
+    require_tol(tol)
     v = as_cvector(x)
     if len(v) < 2 or not np.any(v):
         raise ZeroVectorError("vector must be nonzero, of length 2^p with p >= 1")
@@ -378,6 +379,7 @@ def truncate(m: MPSState, d_max: int | None = None, tol: float = 0.0) -> MPSStat
     drops below EPS_RANK: even with tol = 0, Schmidt values at or below
     1e-12 * sigma_1 are discarded.
     """
+    require_tol(tol)
     if m.boundary != "open":
         raise GaugeViolationError("truncate is defined for open chains")
     if d_max is not None and d_max < 1:

@@ -16,9 +16,9 @@ view of its rows and columns: ``_dense_view`` slices a matrix (a complex
 one whose imaginary part is exactly zero as its float64 view, with the same
 results), and ``_nonzero_view`` scatters each block from nonzeros, so
 ``hamiltonian.certify_structure`` needs no n x n matrix.  The pass needs
-O(32 n) temporaries; the symmetry and omega-circulant checks of the
-transforms use it too.  A matrix whose squares would under- or overflow is
-read times an exact power of two, so no decision depends on its scale.
+O(32 n) temporaries, and every decision is made at unit scale
+(``linalg._unit``, one copy of a matrix whose largest part is out of range);
+the symmetry and omega-circulant checks of the transforms use it too.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .errors import (
 from .linalg import (
     _as_matrix,
     _flip2,
-    _NORM_RANGE,
-    _ldexp,
+    _unit,
     as_cmatrix,
     as_cvector,
     eigh,
@@ -163,23 +162,6 @@ def _nonzero_view(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
             lambda lo, hi: scatter(lo, hi, by_col[col_starts[lo] : col_starts[hi]], cols, rows))
 
 
-def _rescaled(view, norm: float):
-    """(view, norm, e): as given with e = 0 for a norm of 0 or within
-    ``_NORM_RANGE``, else both times 2^-e, e the norm's exponent, exactly and
-    block by block, so that the squares of the view's blocks add up to below 1;
-    for a norm past float64's range, e = 1024 + n.bit_length() (every entry
-    below 1/n) and the norm is taken again from the rescaled rows."""
-    if norm == 0 or _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
-        return view, norm, 0
-    n, rows, cols = view
-    e = math.frexp(norm)[1] if math.isfinite(norm) else 1024 + n.bit_length()
-    view = n, lambda lo, hi: _ldexp(rows(lo, hi), -e), lambda lo, hi: _ldexp(cols(lo, hi), -e)
-    if math.isfinite(norm):
-        return view, math.ldexp(norm, -e), e
-    blocks = (view[1](i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS))
-    return view, math.sqrt(sum(np.vdot(b, b).real for b in blocks)), e
-
-
 def _residual_norms(view, names, omega=None) -> dict[str, float]:
     """Frobenius norm of each named structure residual of the square matrix
     m that ``view`` reads.
@@ -221,9 +203,9 @@ def _residual_norms(view, names, omega=None) -> dict[str, float]:
 
 def _holds(m: np.ndarray, names, omega=None) -> bool:
     """True when every named residual of the square ``m`` is at most
-    ``EPS_STRUCT * ||m||_F``, at any scale."""
-    view, norm, _ = _rescaled(_dense_view(m), frob(m))
-    return max(_residual_norms(view, names, omega).values()) <= EPS_STRUCT * norm
+    ``EPS_STRUCT * ||m||_F``, at unit scale."""
+    s = _unit(m)[0]
+    return max(_residual_norms(_dense_view(s), names, omega).values()) <= EPS_STRUCT * frob(s)
 
 
 def _estimate_omega(r: np.ndarray, c: np.ndarray, thresh: float) -> complex | None:
@@ -255,15 +237,14 @@ def classify(a, tol: float = EPS_STRUCT) -> StructureFlags:
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         return StructureFlags()
-    return _classify(_dense_view(m), frob(m), tol)
+    s, e = _unit(m)
+    return _classify(_dense_view(s), frob(s), tol, e)
 
 
-def _classify(view, norm: float, tol: float) -> StructureFlags:
+def _classify(view, norm: float, tol: float, e: int) -> StructureFlags:
     """``classify`` of the square matrix that ``view`` reads (see
-    ``_residual_norms``), of Frobenius norm ``norm``.  A matrix whose squares
-    under- or overflow is read times 2^-e (``_rescaled``), and its residuals
-    are reported times 2^e, at the input's scale."""
-    view, norm, e = _rescaled(view, norm)
+    ``_residual_norms``), of Frobenius norm ``norm``: the input at unit
+    scale, times 2^-e; its residuals are reported times 2^e."""
     _, rows, cols = view
     thresh = tol * norm
     cand = _estimate_omega(rows(0, 1)[0], cols(0, 1)[0], thresh)
@@ -307,9 +288,10 @@ def _require_sym_persym(m: np.ndarray, caller: str, real: bool = False) -> int:
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise NotSymPersymError(f"expected a square matrix, got shape {m.shape}")
-    if not _holds(m, ("symmetric", "centrosymmetric")):
+    s = _unit(m)[0]
+    if not _holds(s, ("symmetric", "centrosymmetric")):
         raise NotSymPersymError("matrix is not symmetric persymmetric")
-    if real and frob(m.imag) > EPS_STRUCT * frob(m):
+    if real and frob(s.imag) > EPS_STRUCT * frob(s):
         raise NotSymPersymError("matrix is not real")
     if n % 2:
         raise OddSizeError(f"{caller} requires even size, got {n}")

@@ -30,7 +30,7 @@ from .errors import (
     WitnessViolationError,
     ZeroVectorError,
 )
-from .linalg import _flip2, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_bytes, require_site_count, require_tol, schur, svd
+from .linalg import EPS_LIN, _flip2, _is_hermitian, _unit, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_bytes, require_site_count, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
 
 #: complex128 arrays of length 2^p that reverse_normal_form holds at once (its
@@ -93,7 +93,7 @@ def detect_vector_symmetries(x, tol: float = EPS_SYM) -> set[str]:
     firstsite-, lastsite+, lastsite-.
     """
     require_tol(tol)
-    v = as_cvector(x)
+    v = _unit(as_cvector(x))[0]
     thresh = tol * frob(v)
     found = set()
     if frob(v - shifted(v)) <= thresh:
@@ -256,10 +256,10 @@ def _direct_sum(m: MPSState, partner) -> list[np.ndarray]:
 # -------------------------------------------------- bit-shift / TI constructs
 
 def _require_invariant(m: MPSState, image, message: str) -> None:
-    """Raise SymmetryMismatchError(message) unless x = to_vector(m) is image(x) within EPS_SYM ||x||."""
+    """Raise SymmetryMismatchError(message) unless x = to_vector(m) is image(x) within EPS_SYM ||x||, at unit scale."""
     nbytes = _INVARIANCE_ARRAYS * 16 * 2**m.p
     require_bytes(nbytes, f"the invariance test at p = {m.p} needs {nbytes} bytes")
-    x = to_vector(m)
+    x = _unit(to_vector(m))[0]
     if frob(x - image(x)) > EPS_SYM * frob(x):
         raise SymmetryMismatchError(message)
 
@@ -316,7 +316,7 @@ def ti_normal_form(a0, a1) -> tuple[np.ndarray, np.ndarray]:
     m1 = as_cmatrix(a1)
     if m0.shape != m1.shape or m0.shape[0] != m0.shape[1]:
         raise ShapeMismatchError("need two square matrices of equal size")
-    if frob(m0 - dagger(m0)) <= 1e-12 * max(frob(m0), 1e-300):
+    if _is_hermitian(m0, EPS_LIN):
         w, v = eigh((m0 + dagger(m0)) / 2.0)
         q = dagger(v)
         nf0 = np.diag(w.astype(np.complex128))
@@ -426,8 +426,10 @@ def reverse_normal_form(x) -> ReverseNormalForm:
         raise ZeroVectorError("vector must be nonzero, of length 2^p with p >= 1")
     nbytes = _REVERSE_NF_ARRAYS * 16 * 2**p
     require_bytes(nbytes, f"the reverse normal form at p = {p} needs {nbytes} bytes")
-    if frob(v - np.conj(bit_reversed(v))) > EPS_SYM * frob(v):
+    u = _unit(v)[0]
+    if frob(u - np.conj(bit_reversed(u))) > EPS_SYM * frob(u):
         raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
+    del u  # a copy when v is out of range, not one of the guarded arrays
     m = p // 2
     n = 2**m
     cores = v.reshape((n, -1) + (2,) * m).transpose(0, 1, *range(m + 1, 1, -1)).reshape(n, -1, n).swapaxes(0, 1)
@@ -480,7 +482,7 @@ def _involution_eigenbasis(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     n = u.shape[0]
     if frob(u @ u - np.eye(n)) > tol * max(frob(u) ** 2, 1.0):
         raise NotDiagonalizableError("witness is not an involution (U^2 != I)")
-    if frob(u - dagger(u)) <= tol * max(frob(u), 1e-300):
+    if _is_hermitian(u, tol):
         w, v = eigh(u)
         order = np.argsort(-w)
         w, v = w[order], v[:, order]
@@ -525,7 +527,7 @@ def fullbit_state(a, p: int) -> MPSState:
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("need a square matrix")
-    if frob(m - dagger(m)) > 1e-12 * max(frob(m), 1e-300):
+    if not _is_hermitian(m, EPS_LIN):
         raise NotHermitianError("fullbit states require a Hermitian matrix")
     return MPSState([(m, _flip2(m))] * p, boundary="periodic")
 

@@ -5,7 +5,7 @@ import pytest
 
 from symtt import MPSState
 from symtt.errors import FormatError
-from symtt.linalg import as_cmatrix, as_cvector, dagger, frob, kron_chain, require_tol
+from symtt.linalg import as_cmatrix, as_cvector, dagger, frob, require_tol
 from symtt.structured import EPS_STRUCT, StructureFlags
 
 
@@ -75,6 +75,14 @@ def brute_force_vector(m):
         for j, pair in enumerate(m.sites):
             prod = prod @ pair[(idx >> (m.p - 1 - j)) & 1]
         out[idx] = np.trace(prod)
+    return out
+
+
+def kron_chain(factors):
+    """Kronecker product of a sequence of matrices, left to right."""
+    out = np.array([[1.0 + 0.0j]])
+    for f in factors:
+        out = np.kron(out, f)
     return out
 
 

@@ -24,9 +24,9 @@ from symtt import (
 from symtt import hamiltonian, linalg, symmetry
 from symtt.errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
 from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _nonzeros, _Sectors, _solve_sectors
-from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob, kron_chain
+from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob
 
-from conftest import SCALES, dense_reference, random_complex
+from conftest import SCALES, dense_reference, kron_chain, random_complex
 
 
 def test_pauli_entries():

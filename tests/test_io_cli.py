@@ -30,7 +30,7 @@ from symtt.fileio import (
 from symtt.linalg import dagger, frob
 from symtt.symmetry import SYMMETRY_KINDS
 
-from conftest import line_list_reader, random_complex, random_mps
+from conftest import line_list_reader, random_complex, random_mps, scaled
 
 
 def test_mat_roundtrip(tmp_path, rng):
@@ -1048,6 +1048,11 @@ def test_cli_dense_guards_exit_1(tmp_path, capsys, rng):
         (("struct", "circulant-eig", "{dir}/eye.mat"), "1 x n or n x 1 first row, got shape \\(2, 2\\)"),
         (("sym", "dof", "--p", "27", "--kinds", "bitshift"), "p = 27 describes vectors of 2147483648 bytes"),
         (("sym", "normal-form", "--kind", "reverse", "--vec", "{dir}/asym.vec"), "not reverse symmetric"),
+        (("mps", "from-vector", "{dir}/one.vec", "--tol", "nan", "--out", "{dir}/out.mps"), "tol .* got nan"),
+        (("mps", "truncate", "{dir}/one.mps", "--tol", "-1", "--out", "{dir}/out.mps"), "tol .* got -1"),
+        (("mps", "truncate", "{dir}/one.mps", "--tol", "inf", "--out", "{dir}/out.mps"), "tol .* got inf"),
+        (("sym", "construct", "--kind", "fullbit", "--mat", "{dir}/upper.mat", "--p", "3", "--out", "{dir}/out.mps"),
+         "require a Hermitian matrix"),
     ],
 )
 def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):
@@ -1062,6 +1067,11 @@ def test_cli_bad_input_is_a_domain_error(tmp_path, capsys, argv, match):
     (tmp_path / "int.mat").write_text("MAT1 x 2\n0 0\n0 0\n")
     (tmp_path / "big.vec").write_text("VEC1 40\n0 0\n")
     write_vec(tmp_path / "asym.vec", np.array([1.0, 2.0, 3.0, 4.0]))
+    # one site: no SVD split, which would check the tolerance itself
+    write_vec(tmp_path / "one.vec", np.array([1.0, 2.0]))
+    write_mps(tmp_path / "one.mps", from_vector(np.array([1.0, 2.0])))
+    # not Hermitian, at a scale where ||a - a^H||_F underflows to a subnormal
+    write_mat(tmp_path / "upper.mat", scaled(np.array([[1.0, 2.0], [0.0, 1.0]]), -1060))
     assert run_cli(*(a.format(dir=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, reverse_construct, reverse_normal_form, schur, svd, ti_construct, to_vector
 from symtt import linalg
@@ -147,6 +149,28 @@ def test_relative_checks_do_not_depend_on_scale(rng):
     assert np.array_equal(eigh(np.diag([1e308] * 4)).values, [1e308] * 4)
     w = eigh(np.full((4, 4), 1e308)).values
     assert w[-1] == math.inf and np.all(np.abs(w[:-1]) < 1e-14 * 1e308)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(-399, 400), st.integers(0, 2**32 - 1))
+def test_unit_scale_is_exact_and_copies_nothing_in_range(rows, cols, is_complex, j, seed):
+    """a with its largest real or imaginary part in [1/2, 1) (small integers
+    times a power of two, so every scaling below is exact): a times 2^k is
+    brought back to a's bits with e = k at scales where squares of its
+    entries under- or overflow, and returned itself, with e = 0, at every
+    scale 2^j that keeps that part within the norm range, as an all-zero
+    array is."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-1000, 1001, (rows, cols)) + (1j * rng.integers(-1000, 1001, (rows, cols)) if is_complex else 0)
+    top = max(np.abs(a.real).max(), np.abs(np.imag(a)).max())
+    assume(top > 0)
+    a = scaled(a, -math.frexp(top)[1])
+    for k in SCALES:
+        s, e = linalg._unit(scaled(a, k))
+        assert e == k and s.dtype == a.dtype and s.tobytes() == a.tobytes(), k
+    for b in (scaled(a, j), np.zeros_like(a)):
+        s, e = linalg._unit(b)
+        assert s is b and e == 0
 
 
 def test_eigh_residual_oracle(rng):

@@ -31,7 +31,7 @@ from symtt import (
     to_vector,
     verify_relation,
 )
-from symtt.errors import BadParamsError, NotDiagonalizableError, ShapeMismatchError, SymmetryMismatchError, TooLargeError, ZeroVectorError
+from symtt.errors import BadParamsError, NotDiagonalizableError, NotHermitianError, ShapeMismatchError, SymmetryMismatchError, TooLargeError, ZeroVectorError
 from symtt.hamiltonian import TABLE_MODELS, ground_state, model
 from symtt.linalg import dagger, exchange_matrix, frob
 from symtt import linalg, symmetry
@@ -329,6 +329,21 @@ def test_ti_normal_form_pauli_pair():
     nf0, nf1 = ti_normal_form(pauli("x"), np.eye(2))
     assert np.allclose(sorted(np.diag(nf0).real), [-1, 1])
     assert np.allclose(nf1, np.eye(2))
+
+
+def test_hermitian_checks_do_not_depend_on_scale():
+    # [[1, 2], [0, 1]] times 2^k is not Hermitian at any scale, also where
+    # ||a - a^H||_F is subnormal: fullbit_state refuses it, and
+    # ti_normal_form takes the Schur branch, whose triangular nf0 keeps the
+    # eigenvalues 2^k (1, 1)
+    upper = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for k in SCALES:
+        a = scaled(upper, k)
+        with pytest.raises(NotHermitianError):
+            fullbit_state(a, 3)
+        nf0, _ = ti_normal_form(a, np.eye(2))
+        assert not np.tril(nf0, -1).any(), k
+        assert np.array_equal(np.diag(nf0), scaled(np.ones(2, dtype=complex), k)), k
 
 
 def test_ti_normal_form_preserves_vector(rng):
