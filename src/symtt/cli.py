@@ -12,6 +12,12 @@ stdout as key=value lines, or with --json as one JSON object, in which the
 lines that ``ham spectrum`` and ``sym orbits`` print become lists; matrices,
 vectors, chains, and witnesses go to files in the documented MAT1 / VEC1 /
 MPS1 / WIT formats.  Exit codes: 0 success, 1 domain error, 2 usage.
+
+A command executes only the library modules its verb uses, and ``sym
+orbits`` and ``sym dof`` load no numpy.  ``main`` returns the exit code; the
+process entry point ``run`` then flushes stdout and stderr and ends the
+process at once, without interpreter teardown.  A write to stdout that fails
+(a full disk, a pipe closed by its reader) ends as an error message, exit 1.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ if "numpy" not in sys.modules:
     # OpenBLAS reads the variable once, when numpy loads it; a process that
     # loaded numpy first keeps its own setting.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import numpy as np
 
 from ._constants import EPS_STRUCT, EPS_SYM, MODEL_NAMES, MODEL_PARAMS, SYMMETRY_KINDS
 from .errors import ShapeMismatchError, SymttError
@@ -53,8 +57,8 @@ def _lazy(name: str):
 
 # a command executes only the modules its verb uses; an import statement
 # would execute the module it names, so the modules are bound from here
-linalg, structured, hamiltonian, mps, symmetry, fileio = map(
-    _lazy, ("linalg", "structured", "hamiltonian", "mps", "symmetry", "fileio")
+linalg, structured, hamiltonian, mps, symmetry, fileio, _orbits = map(
+    _lazy, ("linalg", "structured", "hamiltonian", "mps", "symmetry", "fileio", "_orbits")
 )
 
 
@@ -206,7 +210,7 @@ def _run_sym(args, rep: Report) -> None:
         for j, r in enumerate(report.consistency_residuals, start=1):
             rep.add(f"consistency_{j}", r)
     elif args.verb == "orbits":
-        report = symmetry.orbits(args.bits)
+        report = _orbits.orbits(args.bits)
         # orbit reports are newline-delimited sorted bit strings per section
         for name in ("shift_orbit", "flip_orbit", "reverse_orbit"):
             orbit = sorted(getattr(report, name))
@@ -216,7 +220,7 @@ def _run_sym(args, rep: Report) -> None:
                 print(name, *orbit, sep="\n")
     elif args.verb == "dof":
         kinds = [k for k in args.kinds.split(",") if k]
-        report = symmetry.dof_count(args.p, kinds)
+        report = _orbits.dof_count(args.p, kinds)
         for name, count in report.counts.items():
             rep.add(f"count_{name}", count)
         for name, factor in report.reduction_factors.items():
@@ -256,6 +260,8 @@ def _run_sym_construct(args, rep: Report) -> None:
 def _run_sym_normal_form(args, rep: Report) -> None:
     kind = args.kind
     if kind == "reverse":
+        import numpy as np  # the one runner that calls numpy itself
+
         x = fileio.read_vec(args.vec)
         nf = symmetry.reverse_normal_form(x)
         err = float(np.linalg.norm(nf.to_vector() - x))
@@ -435,12 +441,45 @@ def main(argv=None) -> int:
     rep = Report()
     try:
         args.run(args, rep)
+        rep.emit(args.json)
     except (SymttError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rep.emit(args.json)
+        return _error(exc)
     return 0
 
 
+def _error(exc: Exception) -> int:
+    """Report ``exc`` on stderr, if stderr still takes it; exit code 1."""
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return 1
+
+
+def run() -> None:
+    """The process entry point (the ``symtt`` script, ``python -m
+    symtt.cli``): ``main``, then stdout and stderr flushed and the process
+    ended with ``os._exit``, skipping interpreter teardown.  Every file a
+    command writes is closed by then and nothing is registered with
+    ``atexit``.  A failed flush of stdout is reported as an error and a
+    failed flush of stderr is not; either exits 1 unless ``main`` failed
+    already, whose exit code stands."""
+    try:
+        rc = main()
+    except SystemExit as exc:  # argparse: usage errors, --help
+        rc = exc.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        rc = rc or _error(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        rc = rc or 1
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

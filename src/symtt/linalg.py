@@ -34,15 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, TooLargeError
+# the two guards live beside the errors they raise; the modules built on
+# these kernels import them from here
+from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, require_bytes, require_site_count
 
 #: relative residual tolerance the kernels are required to meet
 EPS_LIN = 1e-12
 #: relative singular-value cutoff defining numerical rank
 EPS_RANK = 1e-12
-#: the one size limit: bytes of each guarded dense allocation, and of the
-#: entries an MPS1 file holds; compared only in ``require_bytes``
-MAX_DENSE_BYTES = 2**30
 #: a plain norm (a sum of squares) outside this range may have lost squares
 #: to underflow or overflow; ``frob`` and ``_unit`` read it, nothing else
 _NORM_RANGE = (2.0**-400, 2.0**400)
@@ -115,19 +114,6 @@ def require_tol(tol: float) -> None:
     """Reject a tolerance that is not a finite number >= 0 (NaN included)."""
     if not 0.0 <= tol < np.inf:
         raise BadParamsError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
-def require_site_count(p) -> None:
-    """Reject a site count that is not an int >= 1 (bools included)."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
-        raise BadParamsError(f"site count p must be an int >= 1, got {p!r}")
-
-
-def require_bytes(nbytes: int, allocation: str) -> None:
-    """Raise TooLargeError if ``nbytes`` is over MAX_DENSE_BYTES (read at call
-    time); ``allocation`` names the allocation and its size."""
-    if nbytes > MAX_DENSE_BYTES:
-        raise TooLargeError(f"{allocation}, over the MAX_DENSE_BYTES guard of {MAX_DENSE_BYTES} bytes")
 
 
 def require_square(a: np.ndarray) -> int:

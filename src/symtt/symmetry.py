@@ -20,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import EPS_SYM, SYMMETRY_KINDS
+# orbits and their counts need no numpy; they live apart so the CLI runs them
+# without loading it
+from ._orbits import DofReport, OrbitReport, dof_count, orbits
 from .errors import (
     BadParamsError,
     NotDiagonalizableError,
@@ -111,89 +114,6 @@ def detect_vector_symmetries(x, tol: float = EPS_SYM) -> set[str]:
         if frob(v[1::2] - sign * v[0::2]) <= thresh:
             found.add(tag)
     return found
-
-
-# -------------------------------------------------------- orbits / dof count
-
-@dataclass(frozen=True)
-class OrbitReport:
-    base: str
-    shift_orbit: frozenset[str]
-    flip_orbit: frozenset[str]
-    reverse_orbit: frozenset[str]
-
-
-def orbits(bits: str) -> OrbitReport:
-    """Index sets sharing a component value under each symmetry.  The shift
-    orbit holds up to p rotations of p characters, and p^2 must fit in
-    MAX_DENSE_BYTES (p <= 32768)."""
-    if not bits or set(bits) - {"0", "1"}:
-        raise BadParamsError(f"bits must be a nonempty 0/1 string, got {bits!r}")
-    p = len(bits)
-    require_bytes(p * p, f"the shift orbit of {p} bits holds up to {p * p} bytes of rotations")
-    shift = frozenset(bits[k:] + bits[:k] for k in range(p))
-    flip = frozenset({bits, "".join("1" if c == "0" else "0" for c in bits)})
-    rev = frozenset({bits, bits[::-1]})
-    return OrbitReport(base=bits, shift_orbit=shift, flip_orbit=flip, reverse_orbit=rev)
-
-
-@dataclass(frozen=True)
-class DofReport:
-    p: int
-    counts: dict[str, int]
-    reduction_factors: dict[str, float]
-
-
-def _fixed_strings(p: int, flip: int, mirror: int, k: int) -> int:
-    """Strings of p bits fixed by flip^flip reverse^mirror shift^k, which moves position j to j + k
-    (mirrored: -1 - k - j) mod p: 2^c for its c cycles, or 0 if the flip meets an odd cycle."""
-    seen = [False] * p
-    cycles = 0
-    for start in range(p):
-        j, length = start, 0
-        while not seen[j]:
-            seen[j] = True
-            j = (-1 - k - j if mirror else j + k) % p
-            length += 1
-        if flip and length % 2:
-            return 0
-        cycles += length > 0
-    return 2**cycles
-
-
-def dof_count(p: int, kinds) -> DofReport:
-    """Exact orbit counts of bit strings under the chosen symmetries.
-
-    counts maps each single kind to its class count and, when several kinds
-    are given, "combined" to the count under the jointly generated group.
-    The flip commutes with shift and reversal, so the words flip^b reverse^a
-    shift^k cover the group, each element equally often; by Burnside's lemma
-    a count is the mean of ``_fixed_strings`` over the words, with no 2^p
-    array.  The counts describe 2^p-entry complex vectors, whose 16 * 2^p
-    bytes must fit in MAX_DENSE_BYTES (p <= 26).
-    """
-    require_site_count(p)
-    nbytes = 16 * 2**p
-    require_bytes(nbytes, f"orbit counting at p = {p} describes vectors of {nbytes} bytes")
-    kinds = sorted(set(kinds))
-    unknown = set(kinds) - {"bitshift", "bitflip", "reverse"}
-    if unknown:
-        raise UnknownNameError(f"unknown symmetry kinds for counting: {sorted(unknown)}")
-    if not kinds:
-        raise BadParamsError("need at least one symmetry kind")
-
-    def count(group_kinds) -> int:
-        flips = (0, 1) if "bitflip" in group_kinds else (0,)
-        mirrors = (0, 1) if "reverse" in group_kinds else (0,)
-        shifts = range(p if "bitshift" in group_kinds else 1)
-        fixed = [_fixed_strings(p, b, a, k) for b in flips for a in mirrors for k in shifts]
-        return sum(fixed) // len(fixed)
-
-    counts = {k: count([k]) for k in kinds}
-    if len(kinds) > 1:
-        counts["combined"] = count(kinds)
-    factors = {k: 2**p / c for k, c in counts.items()}
-    return DofReport(p=p, counts=counts, reduction_factors=factors)
 
 
 # ----------------------------------------------------------------- witnesses
@@ -317,7 +237,8 @@ def ti_normal_form(a0, a1) -> tuple[np.ndarray, np.ndarray]:
     if m0.shape != m1.shape or m0.shape[0] != m0.shape[1]:
         raise ShapeMismatchError("need two square matrices of equal size")
     if _is_hermitian(m0, EPS_LIN):
-        w, v = eigh((m0 + dagger(m0)) / 2.0)
+        h = 0.5 * m0  # halved before the sum, which stays finite
+        w, v = eigh(h + dagger(h))
         q = dagger(v)
         nf0 = np.diag(w.astype(np.complex128))
     else:
@@ -433,8 +354,10 @@ def reverse_normal_form(x) -> ReverseNormalForm:
     m = p // 2
     n = 2**m
     cores = v.reshape((n, -1) + (2,) * m).transpose(0, 1, *range(m + 1, 1, -1)).reshape(n, -1, n).swapaxes(0, 1)
-    # C, or C_0 stacked over C_1, made exactly Hermitian
-    cores = (0.5 * (cores + dagger(cores))).reshape(-1, n)
+    # C, or C_0 stacked over C_1, made exactly Hermitian; halved before the
+    # sum, which stays finite
+    cores = 0.5 * cores
+    cores = (cores + dagger(cores)).reshape(-1, n)
     if p % 2 == 0:
         sigma, carry = eigh(cores)
         interior = []

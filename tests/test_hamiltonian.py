@@ -21,7 +21,7 @@ from symtt import (
     pauli,
     spin1,
 )
-from symtt import hamiltonian, linalg, symmetry
+from symtt import errors, hamiltonian, linalg, symmetry
 from symtt.errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, TooLargeError, UnknownModelError, UnknownNameError, ZeroSiteError
 from symtt.hamiltonian import MODEL_NAMES, TABLE_MODELS, HamiltonianSpec, LocalTermSpec, _nonzeros, _Sectors, _solve_sectors
 from symtt.linalg import EPS_LIN, EighResult, dagger, fourier_matrix, frob
@@ -598,12 +598,12 @@ def test_ground_state_guard(monkeypatch):
     # with eigenvectors the block guard counts _EIGH_ARRAYS blocks; hy's
     # largest block (order 10 of 10 + 6, complex128) needs more
     blocks = _HX4_FIRST + hamiltonian._EIGH_ARRAYS * 8 * 6 * 6
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", blocks)
     assert ground_state(model("hx", 4)).ground_vector.shape == (16,)
     hy_blocks = _HX4_FIRST + hamiltonian._EIGH_ARRAYS * 16 * 10 * 10
     with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 10, needs {hy_blocks} bytes, over"):
         ground_state(model("hy", 4))
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks - 1)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", blocks - 1)
     with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 6, needs {blocks} bytes, over"):
         ground_state(model("hx", 4))
 
@@ -611,7 +611,7 @@ def test_ground_state_guard(monkeypatch):
 def test_ground_state_refuses_before_it_assembles(monkeypatch):
     # one byte below the first guard: refused with its message, and no
     # term's nonzeros are ever built
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", _HX4_FIRST - 1)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", _HX4_FIRST - 1)
 
     def no_nonzeros(factors, ident):
         raise AssertionError("built nonzeros past the guard")
@@ -624,12 +624,12 @@ def test_ground_state_refuses_before_it_assembles(monkeypatch):
 def test_spectrum_guard(monkeypatch):
     # eigenvalues alone guard _EIGVALSH_ARRAYS blocks of the largest sector
     blocks = _HX4_FIRST + hamiltonian._EIGVALSH_ARRAYS * 8 * 6 * 6
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", blocks)
     assert _solve_sectors(model("hx", 4), vector=False)[0].shape == (16,)
     hy_blocks = _HX4_FIRST + hamiltonian._EIGVALSH_ARRAYS * 16 * 10 * 10
     with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 10, needs {hy_blocks} bytes, over"):
         _solve_sectors(model("hy", 4), vector=False)
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", blocks - 1)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", blocks - 1)
     with pytest.raises(TooLargeError, match=rf"^the sector solve of dimension 16, largest block 6, needs {blocks} bytes, over"):
         _solve_sectors(model("hx", 4), vector=False)
 
@@ -638,17 +638,17 @@ def _guard_sizes(call) -> list[int]:
     """The bytes of every guard ``call`` checks, in order: each limit one
     byte below the last refusal's bytes is raised to those bytes, until the
     call passes."""
-    sizes, saved = [], linalg.MAX_DENSE_BYTES
+    sizes, saved = [], errors.MAX_DENSE_BYTES
     try:
         while True:
-            linalg.MAX_DENSE_BYTES = sizes[-1] if sizes else 0
+            errors.MAX_DENSE_BYTES = sizes[-1] if sizes else 0
             try:
                 call()
                 return sizes
             except TooLargeError as exc:
                 sizes.append(int(re.search(r" needs? (\d+) bytes", str(exc)).group(1)))
     finally:
-        linalg.MAX_DENSE_BYTES = saved
+        errors.MAX_DENSE_BYTES = saved
 
 
 def test_spectrum_peak_is_within_its_guard():
@@ -688,7 +688,7 @@ def test_ham_verbs_refuse_before_they_allocate(monkeypatch):
         sizes = _guard_sizes(call)
         assert len(sizes) == (1 if what == "certify_structure" else 2), what
         for nbytes in sizes:
-            monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
+            monkeypatch.setattr(errors, "MAX_DENSE_BYTES", nbytes - 1)
             tracemalloc.start()
             try:
                 with pytest.raises(TooLargeError, match=rf"needs? {nbytes} bytes"):

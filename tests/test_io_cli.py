@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -438,11 +439,11 @@ def test_codec_keeps_no_copy_of_a_chain_of_distinct_sites(tmp_path, rng):
 def test_write_mps_guards_every_site_of_a_shared_core(tmp_path, monkeypatch):
     # one 2 x 4 x 4 core shared by p sites: the file holds 16 * 2 * 16 * p bytes
     m = MPSState([np.ones((2, 4, 4))] * 3, boundary="periodic")
-    monkeypatch.setattr(symtt.linalg, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3 - 1)
+    monkeypatch.setattr(symtt.errors, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3 - 1)
     with pytest.raises(TooLargeError, match=r"the 3 sites of the chain hold 1536 bytes.*MAX_DENSE_BYTES"):
         write_mps(tmp_path / "big.mps", m)
     assert not (tmp_path / "big.mps").exists()
-    monkeypatch.setattr(symtt.linalg, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3)
+    monkeypatch.setattr(symtt.errors, "MAX_DENSE_BYTES", 16 * 2 * 16 * 3)
     write_mps(tmp_path / "big.mps", m)
     assert _exact(read_mps(tmp_path / "big.mps")) == _exact(m)
 
@@ -610,13 +611,15 @@ def test_cli_start_up_never_loads_scipy(tmp_path, rng):
 @pytest.mark.parametrize("argv, idle", [
     (["ham", "ground", "--model", "heis_xxz", "--p", "4", "--out", "g.mat"], ["structured", "symmetry", "mps"]),
     (["mps", "from-vector", "x.vec", "--out", "x.mps"], ["symmetry", "structured", "hamiltonian"]),
-    (["sym", "orbits", "--bits", "0110"], ["structured", "hamiltonian", "fileio"]),
+    (["sym", "orbits", "--bits", "0110"], None),
     (["ham", "spectrum", "--model", "hx", "--p", "3"], ["structured", "symmetry", "mps", "fileio"]),
-    (["sym", "dof", "--p", "8", "--kinds", "bitshift"], ["structured", "hamiltonian", "fileio"]),
+    (["sym", "dof", "--p", "8", "--kinds", "bitshift"], None),
 ], ids=["ham_ground", "mps_from_vector", "sym_orbits", "ham_spectrum", "sym_dof"])
 def test_cli_executes_only_the_modules_its_verb_uses(tmp_path, argv, idle):
     # a module is executed once it is in sys.modules and no longer lazy; all
-    # six stay registered after the import, as perfbench's tracer reads them
+    # six stay registered after the import, as perfbench's tracer reads them.
+    # idle None: a numpy-free verb, which executes none of the six and never
+    # loads numpy
     write_vec(tmp_path / "x.vec", np.arange(16.0))
     script = (
         "import json, sys, types\n"
@@ -627,14 +630,17 @@ def test_cli_executes_only_the_modules_its_verb_uses(tmp_path, argv, idle):
         "registered = all('symtt.' + n in sys.modules for n in names)\n"
         "before = executed()\n"
         "code = symtt.cli.main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([registered, before, code, executed()]))\n"
+        "print(json.dumps([registered, before, code, executed(), 'numpy' in sys.modules]))\n"
     )
     run = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], cwd=tmp_path, env=_src_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    registered, before, code, executed = json.loads(run.stdout.splitlines()[-1])
+    registered, before, code, executed, numpy_loaded = json.loads(run.stdout.splitlines()[-1])
     assert registered and before == [] and code == 0
-    assert executed and not set(idle) & set(executed)
+    if idle is None:
+        assert executed == [] and not numpy_loaded
+    else:
+        assert executed and not set(idle) & set(executed)
 
 
 #: symtt.__all__ as it stood when the package still imported every module
@@ -724,6 +730,79 @@ def test_cli_output_is_independent_of_blas_threads(tmp_path):
         assert results["1", name] == results["2", name], name
 
 
+def _files(directory: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+def test_cli_process_matches_in_process_main(tmp_path, capsys, monkeypatch, rng):
+    # python -m symtt.cli ends the process at its last write (run); it leaves
+    # the stdout, stderr, files and exit code of main called in-process, one
+    # command per verb group, a domain error and a usage error included
+    x = random_complex(rng, 16)
+    write_vec(tmp_path / "x.vec", x)
+    write_vec(tmp_path / "f.vec", x + x[::-1])
+    write_vec(tmp_path / "zero.vec", np.zeros(8))
+    h = random_complex(rng, 4, 4)
+    write_mat(tmp_path / "h.mat", h + dagger(h))
+    commands = [
+        ["ham", "ground", "--model", "heis_xxz", "--p", "4", "--out", "g.mat"],
+        ["mps", "from-vector", "../x.vec", "--out", "x.mps"],
+        ["sym", "construct", "--kind", "bitflip", "--vec", "../f.vec", "--out", "f.mps", "--wit", "f.wit"],
+        ["sym", "dof", "--p", "12", "--kinds", "bitshift,reverse"],
+        ["--json", "sym", "orbits", "--bits", "0110"],
+        ["struct", "classify", "../h.mat"],
+        ["mps", "from-vector", "../zero.vec", "--out", "z.mps"],
+        ["ham", "certify"],
+    ]
+    codes = []
+    for k, argv in enumerate(commands):
+        spawned, in_process = tmp_path / f"spawned{k}", tmp_path / f"in_process{k}"
+        spawned.mkdir()
+        in_process.mkdir()
+        run = subprocess.run([sys.executable, "-m", "symtt.cli", *argv], cwd=spawned, env=_src_env(),
+                             capture_output=True, text=True)
+        monkeypatch.chdir(in_process)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (run.returncode, run.stdout, run.stderr) == (code, out, err), argv
+        assert _files(spawned) == _files(in_process), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 2]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_failed_stdout_write_is_an_error(tmp_path, unbuffered):
+    # a full stdout and a pipe whose reader is gone: "error: ..." and exit 1,
+    # whether the write fails in main (unbuffered) or in run's flush; when
+    # stderr fails too, or alone, the exit is 1 and silent
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "symtt.cli", "sym", "dof", "--p", "12", "--kinds", "bitshift"]
+
+    def status(stdout, stderr, *extra) -> int:
+        return subprocess.run(argv + list(extra), cwd=tmp_path, env=env, stdout=stdout, stderr=stderr).returncode
+
+    with open("/dev/full", "wb") as full, open(tmp_path / "err.txt", "w+b") as err:
+        assert status(full, err) == 1
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            assert status(w, err) == 1
+        finally:
+            os.close(w)
+        err.seek(0)
+        messages = err.read().decode().splitlines()
+        assert status(full, full) == 1
+        assert status(subprocess.DEVNULL, full, "--kinds", "nope") == 1
+    assert [m.split("]")[0] for m in messages] == [f"error: [Errno {errno.ENOSPC}", f"error: [Errno {errno.EPIPE}"]
+
+
 def test_cli_deterministic_output(tmp_path):
     vec = tmp_path / "x.vec"
     rng = np.random.default_rng(7)
@@ -778,7 +857,7 @@ def test_cli_reverse_normal_form_is_refused_by_its_own_guard(tmp_path, capsys, r
     x = symmetry.symmetrize_reverse(random_complex(rng, 2**7))
     vec = tmp_path / "r7.vec"
     write_vec(vec, x)
-    monkeypatch.setattr(symtt.linalg, "MAX_DENSE_BYTES", symmetry._REVERSE_NF_ARRAYS * 16 * 2**7 - 1)
+    monkeypatch.setattr(symtt.errors, "MAX_DENSE_BYTES", symmetry._REVERSE_NF_ARRAYS * 16 * 2**7 - 1)
     with pytest.raises(TooLargeError, match=r"^the reverse normal form at p = 7 needs") as refused:
         symmetry.reverse_normal_form(x)
     built = []

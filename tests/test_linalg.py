@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, reverse_construct, reverse_normal_form, schur, svd, ti_construct, to_vector
-from symtt import linalg
+from symtt import errors, linalg
 import symtt
 from symtt.errors import NotHermitianError, ResidualError, TooLargeError
 from symtt.fileio import write_mps
@@ -301,6 +301,8 @@ def test_require_bytes_names_the_allocation():
     with pytest.raises(TooLargeError) as exc:
         require_bytes(2**30 + 1, "a buffer of 1073741825 bytes")
     assert str(exc.value) == "a buffer of 1073741825 bytes, over the MAX_DENSE_BYTES guard of 1073741824 bytes"
+    # the limit lives in errors alone, so patching linalg's name fails loudly
+    assert not hasattr(linalg, "MAX_DENSE_BYTES")
 
 
 _ONES = MPSState([np.ones((2, 1, 1))] * 2, boundary="open")
@@ -326,6 +328,6 @@ _ONES = MPSState([np.ones((2, 1, 1))] * 2, boundary="open")
 def test_every_size_guard_reads_max_dense_bytes(call, tmp_path, monkeypatch):
     # each guard passes at the default limit and trips below its allocation
     call(tmp_path)
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 3)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 3)
     with pytest.raises(TooLargeError, match="over the MAX_DENSE_BYTES guard of 3 bytes$"):
         call(tmp_path)

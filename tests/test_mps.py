@@ -34,7 +34,7 @@ from symtt import (
 from symtt.errors import GaugeViolationError, NotNormalizedError, ShapeMismatchError, TooLargeError, ZeroVectorError
 from symtt.fileio import read_mps, write_mps
 from symtt.linalg import dagger
-from symtt import linalg
+from symtt import errors, linalg
 from symtt.mps import _TT_SVD_ARRAYS, EPS_GAUGE, _tt_cores
 
 from conftest import brute_force_vector, random_complex, random_hermitian, random_mps, random_unit_vector
@@ -171,9 +171,9 @@ def test_to_vector_guards_two_accumulators(monkeypatch):
     # a bond-1 p = 10 chain ends with one 16384-byte accumulator, but the
     # fold holds it beside the one before it (or beside the output)
     m = MPSState([(np.array([[1.0]]), np.array([[0.5]]))] * 10, boundary="open")
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2 * 16384)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 2 * 16384)
     assert to_vector(m).shape == (1024,)
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16384)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 16384)
     with pytest.raises(TooLargeError, match=r"^contraction needs 32768 bytes for two 16384-byte accumulators, over"):
         to_vector(m)
 
@@ -185,7 +185,7 @@ def test_to_vector_has_no_component_cap(monkeypatch):
     x = to_vector(m)
     assert x.shape == (2**21,) and x[0] == 1 and np.count_nonzero(x) == 1
     del x
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2 * 16 * 2**21 - 1)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 2 * 16 * 2**21 - 1)
     with pytest.raises(TooLargeError, match=r"^contraction needs 67108864 bytes for two 33554432-byte accumulators, over"):
         to_vector(m)
 

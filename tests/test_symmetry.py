@@ -34,7 +34,7 @@ from symtt import (
 from symtt.errors import BadParamsError, NotDiagonalizableError, NotHermitianError, ShapeMismatchError, SymmetryMismatchError, TooLargeError, ZeroVectorError
 from symtt.hamiltonian import TABLE_MODELS, ground_state, model
 from symtt.linalg import dagger, exchange_matrix, frob
-from symtt import linalg, symmetry
+from symtt import errors, linalg, symmetry
 from symtt.symmetry import EPS_SYM, bit_reversed, heuristic_bitflip_witness, shifted, ti_chain_normal_form
 
 from conftest import SCALES, group_orbit_count, random_complex, random_hermitian, scaled
@@ -171,7 +171,7 @@ def test_orbit_closure():
 
 def test_orbits_guard(monkeypatch):
     # the shift orbit of p bits holds up to p rotations of p characters
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 100)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 100)
     assert len(orbits("1" + "0" * 9).shift_orbit) == 10
     with pytest.raises(TooLargeError, match=r"11 bits holds up to 121 bytes.*MAX_DENSE_BYTES guard of 100 bytes"):
         orbits("1" + "0" * 10)
@@ -214,9 +214,11 @@ def test_dof_guard():
     assert counts["bitflip"] == 2**25 and counts["reverse"] == (2**26 + 2**13) // 2
     with pytest.raises(TooLargeError, match="p = 27 describes vectors of 2147483648 bytes, over the MAX_DENSE_BYTES"):
         dof_count(27, ["bitshift"])
-    for p in (2.5, "3", True, 0):
+    for p in (2.5, "3", True, 0, np.bool_(True)):
         with pytest.raises(BadParamsError, match="site count"):
             dof_count(p, ["bitshift"])
+    # numpy's integers are site counts (numpy registers them as numbers.Integral)
+    assert dof_count(np.int64(16), ["bitshift"]) == dof_count(16, ["bitshift"])
 
 
 def test_dof_count_builds_no_index_arrays():
@@ -344,6 +346,17 @@ def test_hermitian_checks_do_not_depend_on_scale():
         nf0, _ = ti_normal_form(a, np.eye(2))
         assert not np.tril(nf0, -1).any(), k
         assert np.array_equal(np.diag(nf0), scaled(np.ones(2, dtype=complex), k)), k
+
+
+def test_hermitian_symmetrizations_stay_finite_near_float64s_largest():
+    # a + a^H overflows these finite entries, so each half is taken first
+    nf0, nf1 = ti_normal_form(np.diag([1e308, 1.7e308]), np.eye(2))
+    assert np.allclose(nf0, np.diag([1e308, 1.7e308]), rtol=1e-15, atol=0)
+    assert np.allclose(nf1, np.eye(2), rtol=0, atol=1e-15)
+    x = np.array([1e308, 1e308])
+    nf = reverse_normal_form(x)
+    assert np.allclose(nf.sigma, [2**0.5 * 1e308], rtol=1e-15, atol=0)
+    assert np.allclose(nf.to_vector(), x, rtol=1e-15, atol=0)
 
 
 def test_ti_normal_form_preserves_vector(rng):
@@ -541,7 +554,7 @@ def test_reverse_normal_form_guards_its_reconstruction(rng, monkeypatch):
     # reconstruction is never refused: the form's guard always trips first
     for p in range(1, 15):
         x = symmetrize_reverse(rand_vec(rng, p))
-        monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", symmetry._REVERSE_NF_ARRAYS * 16 * 2**p)
+        monkeypatch.setattr(errors, "MAX_DENSE_BYTES", symmetry._REVERSE_NF_ARRAYS * 16 * 2**p)
         nf = reverse_normal_form(x)
         assert np.linalg.norm(nf.to_vector() - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -551,7 +564,7 @@ def test_constructs_guard_their_invariance_test(monkeypatch):
     # invariance test at _INVARIANCE_ARRAYS of them
     m = MPSState([np.ones((2, 1, 1))] * 6, boundary="open")
     nbytes = symmetry._INVARIANCE_ARRAYS * 16 * 2**6
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", nbytes - 1)
+    monkeypatch.setattr(errors, "MAX_DENSE_BYTES", nbytes - 1)
     for construct in (ti_construct, reverse_construct, bitflip_construct):
         with pytest.raises(TooLargeError, match=rf"^the invariance test at p = 6 needs {nbytes} bytes, over"):
             construct(m)
