@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import mps, symmetry
-from .errors import FormatError, SymttError
-from .linalg import as_cmatrix, as_cvector, require_bytes
+from .errors import FormatError, SymttError, require_bytes
+from .linalg import as_cmatrix, as_cvector
 
 #: entries formatted per step, which bounds the temporaries of a large body
 _FORMAT_CHUNK = 2**14

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import structured
 from ._constants import _MODELS, EPS_STRUCT, MODEL_NAMES, MODEL_PARAMS
-from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError
-from .linalg import EPS_LIN, _fix_phases, _unit, as_cmatrix, eigh, frob, require_bytes, require_site_count, require_tol
+from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, UnknownModelError, UnknownNameError, ZeroSiteError, require_bytes, require_site_count
+from .linalg import EPS_LIN, _fix_phases, _unit, as_cmatrix, eigh, frob, require_tol
 
 #: bytes per term nonzero held while a model's nonzeros are built and used:
 #: traced peaks 12-57 where terms share entries, 79 (hx) and 119 (the

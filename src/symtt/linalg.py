@@ -34,9 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the two guards live beside the errors they raise; the modules built on
-# these kernels import them from here
-from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError, require_bytes, require_site_count
+from .errors import BadParamsError, NotHermitianError, ResidualError, ShapeMismatchError
 
 #: relative residual tolerance the kernels are required to meet
 EPS_LIN = 1e-12

@@ -30,8 +30,9 @@ from .errors import (
     NotNormalizedError,
     ShapeMismatchError,
     ZeroVectorError,
+    require_bytes,
 )
-from .linalg import as_cvector, dagger, frob, require_bytes, require_tol, split, svd
+from .linalg import as_cvector, dagger, frob, require_tol, split, svd
 
 #: largest left-gauge residual strong_normalize accepts on its input
 EPS_GAUGE = 1e-8

@@ -32,8 +32,10 @@ from .errors import (
     UnknownNameError,
     WitnessViolationError,
     ZeroVectorError,
+    require_bytes,
+    require_site_count,
 )
-from .linalg import EPS_LIN, _flip2, _is_hermitian, _unit, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_bytes, require_site_count, require_tol, schur, svd
+from .linalg import EPS_LIN, _flip2, _is_hermitian, _unit, as_cmatrix, as_cvector, dagger, eigh, exchange_matrix, frob, require_tol, schur, svd
 from .mps import MPSState, from_vector, to_vector
 
 #: complex128 arrays of length 2^p that reverse_normal_form holds at once (its
@@ -237,10 +239,12 @@ def ti_normal_form(a0, a1) -> tuple[np.ndarray, np.ndarray]:
     if m0.shape != m1.shape or m0.shape[0] != m0.shape[1]:
         raise ShapeMismatchError("need two square matrices of equal size")
     if _is_hermitian(m0, EPS_LIN):
-        h = 0.5 * m0  # halved before the sum, which stays finite
-        w, v = eigh(h + dagger(h))
+        # symmetrized at unit scale, where the sum stays finite and halving
+        # it is exact; the eigenvalues are scaled back by 2^e
+        s, e = _unit(m0)
+        w, v = eigh((s + dagger(s)) / 2.0)
         q = dagger(v)
-        nf0 = np.diag(w.astype(np.complex128))
+        nf0 = np.diag(np.ldexp(w, e).astype(np.complex128))
     else:
         q, nf0 = schur(m0)
     return nf0, q @ m1 @ dagger(q)
@@ -347,17 +351,16 @@ def reverse_normal_form(x) -> ReverseNormalForm:
         raise ZeroVectorError("vector must be nonzero, of length 2^p with p >= 1")
     nbytes = _REVERSE_NF_ARRAYS * 16 * 2**p
     require_bytes(nbytes, f"the reverse normal form at p = {p} needs {nbytes} bytes")
-    u = _unit(v)[0]
-    if frob(u - np.conj(bit_reversed(u))) > EPS_SYM * frob(u):
+    # the form of v at unit scale (the scale rule of linalg), whose Sigma is
+    # scaled back by 2^e; an out-of-range v is dropped for its scaled copy
+    v, e = _unit(v)
+    if frob(v - np.conj(bit_reversed(v))) > EPS_SYM * frob(v):
         raise SymmetryMismatchError("vector is not reverse symmetric (within EPS_SYM)")
-    del u  # a copy when v is out of range, not one of the guarded arrays
     m = p // 2
     n = 2**m
     cores = v.reshape((n, -1) + (2,) * m).transpose(0, 1, *range(m + 1, 1, -1)).reshape(n, -1, n).swapaxes(0, 1)
-    # C, or C_0 stacked over C_1, made exactly Hermitian; halved before the
-    # sum, which stays finite
-    cores = 0.5 * cores
-    cores = (cores + dagger(cores)).reshape(-1, n)
+    # C, or C_0 stacked over C_1, made exactly Hermitian
+    cores = (0.5 * (cores + dagger(cores))).reshape(-1, n)
     if p % 2 == 0:
         sigma, carry = eigh(cores)
         interior = []
@@ -375,7 +378,7 @@ def reverse_normal_form(x) -> ReverseNormalForm:
             u, s, carry = svd(u)
             carry *= s[:, None]
         us.append(u)
-    return ReverseNormalForm(p=p, us=tuple(us + interior), sigma=sigma, lam=np.ones(1))
+    return ReverseNormalForm(p=p, us=tuple(us + interior), sigma=np.ldexp(sigma, e), lam=np.ones(1))
 
 
 # ------------------------------------------------------------------- bitflip

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from symtt import EPS_LIN, MPSState, assemble, dof_count, eigh, exchange_matrix, fourier_matrix, from_vector, kron, model, orbits, reverse_construct, reverse_normal_form, schur, svd, ti_construct, to_vector
 from symtt import errors, linalg
 import symtt
-from symtt.errors import NotHermitianError, ResidualError, TooLargeError
+from symtt.errors import NotHermitianError, ResidualError, TooLargeError, require_bytes
 from symtt.fileio import write_mps
 from symtt.hamiltonian import ground_state, pauli
-from symtt.linalg import dagger, frob, rank_from_sigma, require_bytes, split
+from symtt.linalg import dagger, frob, rank_from_sigma, split
 
 from conftest import SCALES, random_complex, random_hermitian, scaled
 

@@ -359,6 +359,22 @@ def test_hermitian_symmetrizations_stay_finite_near_float64s_largest():
     assert np.allclose(nf.to_vector(), x, rtol=1e-15, atol=0)
 
 
+def test_hermitian_symmetrizations_scale_exactly():
+    # both forms are taken at unit scale and scaled back by 2^k, so odd
+    # integers times 2^k keep every bit, subnormal ones included (halving
+    # before the sum would drop their last bit)
+    for k in SCALES:
+        a = scaled(np.diag([1.0, 3.0]), k)
+        nf0, nf1 = ti_normal_form(a, np.eye(2))
+        assert np.array_equal(nf0, a) and np.array_equal(nf1, np.eye(2)), k
+    for x in ([3.0, 3.0], [3.0, 1.0, 1.0, 3.0], [1.0, 1.0]):
+        base = reverse_normal_form(np.array(x))
+        for k in SCALES + (-1074,):
+            nf = reverse_normal_form(scaled(np.array(x), k))
+            assert np.all(nf.sigma != 0) and np.array_equal(nf.sigma, np.ldexp(base.sigma, k)), (x, k)
+            assert all(np.array_equal(u, w) for u, w in zip(nf.us, base.us, strict=True)), (x, k)
+
+
 def test_ti_normal_form_preserves_vector(rng):
     a0 = random_hermitian(rng, 4)
     a1 = random_hermitian(rng, 4)
@@ -537,9 +553,10 @@ def test_reverse_normal_form_property(p, real, seed):
 
 
 def test_reverse_normal_form_peak_is_within_its_guard(rng):
-    # a real input, whose complex copy the path also holds, at even and odd p
-    for p in (14, 15):
-        x = symmetrize_reverse(rand_vec(rng, p)).real.copy()
+    # a real input, whose complex copy the path also holds, at even and odd p,
+    # in range and at a scale where the path works on a scaled copy
+    for p, k in ((14, 0), (15, 0), (14, 1000)):
+        x = scaled(symmetrize_reverse(rand_vec(rng, p)).real, k)
         tracemalloc.start()
         try:
             reverse_normal_form(x)
