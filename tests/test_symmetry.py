@@ -348,8 +348,9 @@ def test_hermitian_checks_do_not_depend_on_scale():
         assert np.array_equal(np.diag(nf0), scaled(np.ones(2, dtype=complex), k)), k
 
 
-def test_hermitian_symmetrizations_stay_finite_near_float64s_largest():
-    # a + a^H overflows these finite entries, so each half is taken first
+def test_hermitian_symmetrizations_are_exact_at_every_scale():
+    # both forms symmetrize at unit scale and scale back by a power of two:
+    # near float64's largest, a + a^H would overflow these finite entries
     nf0, nf1 = ti_normal_form(np.diag([1e308, 1.7e308]), np.eye(2))
     assert np.allclose(nf0, np.diag([1e308, 1.7e308]), rtol=1e-15, atol=0)
     assert np.allclose(nf1, np.eye(2), rtol=0, atol=1e-15)
@@ -357,13 +358,9 @@ def test_hermitian_symmetrizations_stay_finite_near_float64s_largest():
     nf = reverse_normal_form(x)
     assert np.allclose(nf.sigma, [2**0.5 * 1e308], rtol=1e-15, atol=0)
     assert np.allclose(nf.to_vector(), x, rtol=1e-15, atol=0)
-
-
-def test_hermitian_symmetrizations_scale_exactly():
-    # both forms are taken at unit scale and scaled back by 2^k, so odd
-    # integers times 2^k keep every bit, subnormal ones included (halving
-    # before the sum would drop their last bit)
-    for k in SCALES:
+    # and odd integers times 2^k keep every bit, subnormal ones included
+    # (halving before the sum would drop their last bit)
+    for k in SCALES + (-1074,):
         a = scaled(np.diag([1.0, 3.0]), k)
         nf0, nf1 = ti_normal_form(a, np.eye(2))
         assert np.array_equal(nf0, a) and np.array_equal(nf1, np.eye(2)), k
