@@ -1,29 +1,21 @@
 """Orbits and orbit counts of bit strings under the three index actions of
 ``symmetry`` (cyclic shift, global flip, reversal), in pure Python.
 
-``symmetry`` re-exports every name here, and ``symtt.cli`` runs ``sym
-orbits`` and ``sym dof`` from this module, which imports no numpy.
+``symmetry.orbits`` and ``symmetry.dof_count`` wrap these in their reports,
+and ``symtt.cli`` runs ``sym orbits`` and ``sym dof`` from this module, which
+imports neither numpy nor ``dataclasses`` (whose ``inspect`` costs a numpy-free
+command about 10 ms).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadParamsError, UnknownNameError, require_bytes, require_site_count
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    base: str
-    shift_orbit: frozenset[str]
-    flip_orbit: frozenset[str]
-    reverse_orbit: frozenset[str]
-
-
-def orbits(bits: str) -> OrbitReport:
-    """Index sets sharing a component value under each symmetry.  The shift
-    orbit holds up to p rotations of p characters, and p^2 must fit in
-    MAX_DENSE_BYTES (p <= 32768)."""
+def orbit_sets(bits: str) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """The shift, flip and reverse orbits of ``bits``.  The shift orbit holds
+    up to p rotations of p characters, and p^2 must fit in MAX_DENSE_BYTES
+    (p <= 32768)."""
     if not bits or set(bits) - {"0", "1"}:
         raise BadParamsError(f"bits must be a nonempty 0/1 string, got {bits!r}")
     p = len(bits)
@@ -31,14 +23,7 @@ def orbits(bits: str) -> OrbitReport:
     shift = frozenset(bits[k:] + bits[:k] for k in range(p))
     flip = frozenset({bits, "".join("1" if c == "0" else "0" for c in bits)})
     rev = frozenset({bits, bits[::-1]})
-    return OrbitReport(base=bits, shift_orbit=shift, flip_orbit=flip, reverse_orbit=rev)
-
-
-@dataclass(frozen=True)
-class DofReport:
-    p: int
-    counts: dict[str, int]
-    reduction_factors: dict[str, float]
+    return shift, flip, rev
 
 
 def _fixed_strings(p: int, flip: int, mirror: int, k: int) -> int:
@@ -58,16 +43,17 @@ def _fixed_strings(p: int, flip: int, mirror: int, k: int) -> int:
     return 2**cycles
 
 
-def dof_count(p: int, kinds) -> DofReport:
-    """Exact orbit counts of bit strings under the chosen symmetries.
+def dof_counts(p: int, kinds) -> tuple[dict[str, int], dict[str, float]]:
+    """Exact orbit counts of bit strings under the chosen symmetries, and the
+    reduction factors 2^p / count.
 
-    counts maps each single kind to its class count and, when several kinds
-    are given, "combined" to the count under the jointly generated group.
-    The flip commutes with shift and reversal, so the words flip^b reverse^a
-    shift^k cover the group, each element equally often; by Burnside's lemma
-    a count is the mean of ``_fixed_strings`` over the words, with no 2^p
-    array.  The counts describe 2^p-entry complex vectors, whose 16 * 2^p
-    bytes must fit in MAX_DENSE_BYTES (p <= 26).
+    The counts map each single kind to its class count and, when several
+    kinds are given, "combined" to the count under the jointly generated
+    group.  The flip commutes with shift and reversal, so the words flip^b
+    reverse^a shift^k cover the group, each element equally often; by
+    Burnside's lemma a count is the mean of ``_fixed_strings`` over the
+    words, with no 2^p array.  The counts describe 2^p-entry complex
+    vectors, whose 16 * 2^p bytes must fit in MAX_DENSE_BYTES (p <= 26).
     """
     require_site_count(p)
     nbytes = 16 * 2**p
@@ -89,5 +75,4 @@ def dof_count(p: int, kinds) -> DofReport:
     counts = {k: count([k]) for k in kinds}
     if len(kinds) > 1:
         counts["combined"] = count(kinds)
-    factors = {k: 2**p / c for k, c in counts.items()}
-    return DofReport(p=p, counts=counts, reduction_factors=factors)
+    return counts, {k: 2**p / c for k, c in counts.items()}

@@ -13,11 +13,12 @@ lines that ``ham spectrum`` and ``sym orbits`` print become lists; matrices,
 vectors, chains, and witnesses go to files in the documented MAT1 / VEC1 /
 MPS1 / WIT formats.  Exit codes: 0 success, 1 domain error, 2 usage.
 
-A command executes only the library modules its verb uses, and ``sym
-orbits`` and ``sym dof`` load no numpy.  ``main`` returns the exit code; the
-process entry point ``run`` then flushes stdout and stderr and ends the
-process at once, without interpreter teardown.  A write to stdout that fails
-(a full disk, a pipe closed by its reader) ends as an error message, exit 1.
+A command builds the parser of its own verb group only, executes only the
+library modules its verb uses, and ``sym orbits`` and ``sym dof`` load no
+numpy.  ``main`` returns the exit code; the process entry point ``run`` then
+flushes stdout and stderr and ends the process at once, without interpreter
+teardown.  A write to stdout that fails (a full disk, a pipe closed by its
+reader) ends as an error message, exit 1.
 """
 
 from __future__ import annotations
@@ -210,20 +211,19 @@ def _run_sym(args, rep: Report) -> None:
         for j, r in enumerate(report.consistency_residuals, start=1):
             rep.add(f"consistency_{j}", r)
     elif args.verb == "orbits":
-        report = _orbits.orbits(args.bits)
+        sets = _orbits.orbit_sets(args.bits)
         # orbit reports are newline-delimited sorted bit strings per section
-        for name in ("shift_orbit", "flip_orbit", "reverse_orbit"):
-            orbit = sorted(getattr(report, name))
+        for name, orbit in zip(("shift_orbit", "flip_orbit", "reverse_orbit"), map(sorted, sets)):
             if args.json:
                 rep.add(name, orbit)
             else:
                 print(name, *orbit, sep="\n")
     elif args.verb == "dof":
         kinds = [k for k in args.kinds.split(",") if k]
-        report = _orbits.dof_count(args.p, kinds)
-        for name, count in report.counts.items():
+        counts, factors = _orbits.dof_counts(args.p, kinds)
+        for name, count in counts.items():
             rep.add(f"count_{name}", count)
-        for name, factor in report.reduction_factors.items():
+        for name, factor in factors.items():
             rep.add(f"reduction_{name}", factor)
 
 
@@ -320,20 +320,7 @@ def _run_struct(args, rep: Report) -> None:
 
 # --------------------------------------------------------------------- parser
 
-def _verb_group(groups, name: str, help: str, run):
-    """The verbs of group ``name``, whose commands ``main`` runs with ``run``."""
-    group = groups.add_parser(name, help=help)
-    group.set_defaults(run=run)
-    return group.add_subparsers(dest="verb", required=True)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="symtt", description=__doc__.splitlines()[0])
-    parser.add_argument("--json", action="store_true", help="emit one JSON object instead of key=value lines")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomized checks (default 0)")
-    groups = parser.add_subparsers(dest="group", required=True)
-
-    ham = _verb_group(groups, "ham", "Hamiltonian builders", _run_ham)
+def _ham_verbs(ham) -> None:
     sub = ham.add_parser("build")
     _add_model_args(sub, required=True)
     sub.add_argument("--out", required=True)
@@ -348,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(sub, required=True)
     sub.add_argument("--out")
 
-    mpsg = _verb_group(groups, "mps", "matrix product state operations", _run_mps)
+
+def _mps_verbs(mpsg) -> None:
     sub = mpsg.add_parser("from-vector")
     sub.add_argument("vec")
     sub.add_argument("--tol", type=float, default=0.0)
@@ -372,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("mps")
     sub.add_argument("--gauge", choices=("left", "right", "strong"), default="left")
 
-    symg = _verb_group(groups, "sym", "symmetry detection and constructions", _run_sym)
+
+def _sym_verbs(symg) -> None:
     sub = symg.add_parser("detect")
     sub.add_argument("vec")
     sub.add_argument("--tol", type=float, default=EPS_SYM)
@@ -403,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--kinds", required=True, help="comma-separated: bitshift,bitflip,reverse")
 
-    structg = _verb_group(groups, "struct", "structured-matrix transforms", _run_struct)
+
+def _struct_verbs(structg) -> None:
     sub = structg.add_parser("classify")
     sub.add_argument("mat")
     sub.add_argument("--tol", type=float, default=EPS_STRUCT)
@@ -419,11 +409,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = structg.add_parser("circulant-eig")
     sub.add_argument("mat", help="MAT1 file holding the first row (1 x n or n x 1)")
 
+
+#: each verb group's help, the function that runs its verbs and the one that
+#: adds them to the group's subparsers
+_GROUPS = {
+    "ham": ("Hamiltonian builders", _run_ham, _ham_verbs),
+    "mps": ("matrix product state operations", _run_mps, _mps_verbs),
+    "sym": ("symmetry detection and constructions", _run_sym, _sym_verbs),
+    "struct": ("structured-matrix transforms", _run_struct, _struct_verbs),
+}
+
+
+def build_parser(verbs_of=tuple(_GROUPS)) -> argparse.ArgumentParser:
+    """The parser of every verb group, with the verbs of the groups named in
+    ``verbs_of``: a command of one group parses, and fails or prints its help,
+    the same with that group's verbs alone."""
+    parser = argparse.ArgumentParser(prog="symtt", description=__doc__.splitlines()[0])
+    parser.add_argument("--json", action="store_true", help="emit one JSON object instead of key=value lines")
+    parser.add_argument("--seed", type=int, default=0, help="seed for any randomized checks (default 0)")
+    groups = parser.add_subparsers(dest="group", required=True)
+    for name, (help, run, add_verbs) in _GROUPS.items():
+        group = groups.add_parser(name, help=help)
+        group.set_defaults(run=run)
+        if name in verbs_of:
+            add_verbs(group.add_subparsers(dest="verb", required=True))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked group's verbs are built; a group name met before the
+    # group (the value of --seed) is refused by the top-level parser alike
+    parser = build_parser([next((a for a in argv if a in _GROUPS), None)])
     args = parser.parse_args(argv)
     # verb names are unique across the groups
     if args.verb == "certify" and args.matrix is None and args.model is None:

@@ -195,22 +195,30 @@ def model(name: str, p: int, params: dict | None = None, boundary: str = "open")
     coupling = {key: float(params.get(key, 1.0)) for key in ("jx", "jy", "jz")}
     theta = float(params.get("theta", 0.0))
 
+    # every term holds p factor slots of 8 bytes; count them before any is built
+    bonds = p - 1 + (boundary == "periodic")
+    if name in _MODELS:
+        sums, fld = _MODELS[name]
+        count = len(sums) * bonds + (p if fld else 0)
+    else:
+        lin, quad = (1.0, 1.0 / 3.0) if name == "aklt" else (math.cos(theta), math.sin(theta))
+        count = bonds * (3 * (lin != 0.0) + 9 * (quad != 0.0))
+    count = max(count, 1)  # a model without terms gets one zero term
+    nbytes = 8 * p * count
+    require_bytes(nbytes, f"the factor slots of {count} terms on {p} sites need {nbytes} bytes")
+
     terms: list[LocalTermSpec] = []
     d = 2
     if name in _MODELS:
-        sums, fld = _MODELS[name]
         for axis, key in sums:
             op = pauli(axis)
             terms += [_two_site(p, k, l, op, op, coupling[key]) for k, l in _bonds(p, boundary)]
         if fld:
             op, lam = pauli(fld[0]), float(params.get("lam", fld[1]))
             terms += [_one_site(p, k, op, lam) for k in range(p)]
-    elif name == "aklt":
+    else:  # aklt, bilinear_biquadratic
         d = 3
-        terms += _spin1_bond_terms(p, boundary, 1.0, 1.0 / 3.0)
-    elif name == "bilinear_biquadratic":
-        d = 3
-        terms += _spin1_bond_terms(p, boundary, math.cos(theta), math.sin(theta))
+        terms += _spin1_bond_terms(p, boundary, lin, quad)
     if not terms:
         terms = [_one_site(p, 0, np.zeros((d, d), dtype=np.complex128), 0.0)]
     return HamiltonianSpec(p=p, d=d, boundary=boundary, terms=tuple(terms), name=name, params=params)

@@ -36,10 +36,11 @@ from .linalg import as_cvector, dagger, frob, require_tol, split, svd
 
 #: largest left-gauge residual strong_normalize accepts on its input
 EPS_GAUGE = 1e-8
-#: complex128 arrays of length 2^p that the TT-SVD holds: on full-rank inputs
-#: at p = 16 to 20 its tracemalloc peak is 4.2 to 4.6 (5.35 by ``vidal_from_vector``),
-#: its max RSS with LAPACK's work arrays 15.7 at p = 16 and 11.1 at p = 20
-_TT_SVD_ARRAYS = 16
+#: complex128 arrays of length 2^p that the TT-SVD holds: at p = 16 to 20 its
+#: tracemalloc peak is 2.0 to 2.1 on rank-4 inputs and 5.35 on full-rank ones,
+#: its max RSS with LAPACK's work arrays 7.9 to 2.3 (rank 4) and 14.6 at p = 16
+#: to 8.3 at p = 20 (full rank)
+_TT_SVD_ARRAYS = 15
 
 
 class MPSState:
@@ -165,7 +166,10 @@ def _tt_cores(x: np.ndarray, tol: float) -> tuple[list, list]:
         # row index of c is (bond, bit) with the bit fastest
         sites.append(u.reshape(-1, 2, len(s)).swapaxes(0, 1))
         lambdas.append(s)
-        c = s[:, None] * vh
+        # scaled in place and unbound, so the next cut holds no dead factor
+        vh *= s[:, None]
+        c = vh
+        del u, vh
     sites.append(c.T[:, :, None])
     return sites, lambdas
 

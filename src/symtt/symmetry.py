@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import EPS_SYM, SYMMETRY_KINDS
-# orbits and their counts need no numpy; they live apart so the CLI runs them
-# without loading it
-from ._orbits import DofReport, OrbitReport, dof_count, orbits
+# orbits and their counts need neither numpy nor dataclasses; they live apart
+# so the CLI runs them without loading either
+from . import _orbits
 from .errors import (
     BadParamsError,
     NotDiagonalizableError,
@@ -116,6 +116,37 @@ def detect_vector_symmetries(x, tol: float = EPS_SYM) -> set[str]:
         if frob(v[1::2] - sign * v[0::2]) <= thresh:
             found.add(tag)
     return found
+
+
+# -------------------------------------------------------------------- orbits
+
+@dataclass(frozen=True)
+class OrbitReport:
+    base: str
+    shift_orbit: frozenset[str]
+    flip_orbit: frozenset[str]
+    reverse_orbit: frozenset[str]
+
+
+def orbits(bits: str) -> OrbitReport:
+    """Index sets sharing a component value under each symmetry
+    (``_orbits.orbit_sets``, refused when a shift orbit's p rotations of p
+    bits exceed MAX_DENSE_BYTES)."""
+    return OrbitReport(bits, *_orbits.orbit_sets(bits))
+
+
+@dataclass(frozen=True)
+class DofReport:
+    p: int
+    counts: dict[str, int]
+    reduction_factors: dict[str, float]
+
+
+def dof_count(p: int, kinds) -> DofReport:
+    """Exact orbit counts of p-bit strings under the chosen symmetries and
+    their reduction factors (``_orbits.dof_counts``: Burnside's lemma, no 2^p
+    array, refused when the 2^p-entry vectors counted exceed MAX_DENSE_BYTES)."""
+    return DofReport(p, *_orbits.dof_counts(p, kinds))
 
 
 # ----------------------------------------------------------------- witnesses

@@ -273,6 +273,28 @@ def test_assemble_guard():
         assemble(model("aklt", 9))
 
 
+def test_model_guards_its_factor_slots(monkeypatch):
+    # a term holds p factor slots of 8 bytes; the guard counts the terms
+    # before building any, so a huge p is refused at once, not in [None] * p
+    with pytest.raises(TooLargeError, match=r"^the factor slots of 99999999999 terms on 99999999999 sites need "
+                                            r"79999999998400000000008 bytes, over the MAX_DENSE_BYTES guard"):
+        model("hx", 99999999999)
+    with pytest.raises(TooLargeError, match=r"^the factor slots of 100000 terms on 100000 sites need 80000000000 bytes"):
+        model("hx", 100000)
+    # the count is exact: the guard admits the model's own bytes and no fewer
+    # (bilinear_biquadratic at its default theta = 0 has no biquadratic terms)
+    for name in MODEL_NAMES:
+        for p in (1, 2, 5):
+            for boundary in ("open", "periodic"):
+                count = len(model(name, p, boundary=boundary).terms)
+                monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 8 * p * count)
+                assert len(model(name, p, boundary=boundary).terms) == count
+                monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 8 * p * count - 1)
+                with pytest.raises(TooLargeError, match=rf"of {count} terms on {p} sites need {8 * p * count} bytes"):
+                    model(name, p, boundary=boundary)
+                monkeypatch.undo()
+
+
 def test_spec_rejects_bad_factors():
     x = pauli("x")
     with pytest.raises(ShapeMismatchError):

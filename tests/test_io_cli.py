@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 import symtt
 from symtt import MPSState, SymmetryWitness, from_vector, to_vector
 from symtt import fileio
-from symtt.cli import main
+from symtt.cli import build_parser, main
 from symtt.errors import FormatError, TooLargeError
 from symtt.fileio import (
     read_mat,
@@ -619,7 +619,7 @@ def test_cli_executes_only_the_modules_its_verb_uses(tmp_path, argv, idle):
     # a module is executed once it is in sys.modules and no longer lazy; all
     # six stay registered after the import, as perfbench's tracer reads them.
     # idle None: a numpy-free verb, which executes none of the six and never
-    # loads numpy
+    # loads numpy, nor dataclasses and the inspect it imports
     write_vec(tmp_path / "x.vec", np.arange(16.0))
     script = (
         "import json, sys, types\n"
@@ -630,15 +630,16 @@ def test_cli_executes_only_the_modules_its_verb_uses(tmp_path, argv, idle):
         "registered = all('symtt.' + n in sys.modules for n in names)\n"
         "before = executed()\n"
         "code = symtt.cli.main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([registered, before, code, executed(), 'numpy' in sys.modules]))\n"
+        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([registered, before, code, executed(), loaded]))\n"
     )
     run = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], cwd=tmp_path, env=_src_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    registered, before, code, executed, numpy_loaded = json.loads(run.stdout.splitlines()[-1])
+    registered, before, code, executed, loaded = json.loads(run.stdout.splitlines()[-1])
     assert registered and before == [] and code == 0
     if idle is None:
-        assert executed == [] and not numpy_loaded
+        assert executed == [] and loaded == []
     else:
         assert executed and not set(idle) & set(executed)
 
@@ -771,6 +772,56 @@ def test_cli_process_matches_in_process_main(tmp_path, capsys, monkeypatch, rng)
         assert _files(spawned) == _files(in_process), argv
         codes.append(code)
     assert codes == [0, 0, 0, 0, 0, 0, 1, 2]
+
+
+#: the verbs of each group, in the order the full parser lists them
+VERBS = {
+    "ham": ("build", "certify", "spectrum", "ground"),
+    "mps": ("from-vector", "to-vector", "eval", "normalize", "truncate", "check"),
+    "sym": ("detect", "construct", "normal-form", "verify", "orbits", "dof"),
+    "struct": ("classify", "split", "blockdiag", "circulant-eig"),
+}
+
+
+def test_cli_parser_of_one_group_prints_what_the_full_parser_does(capsys):
+    # main builds only the invoked group's verbs; every help text and usage
+    # error must be the full parser's, byte for byte
+    usage_errors = [
+        [], ["bogus"], ["--seed", "ham", "mps", "eval"], ["--json"],
+        ["ham"], ["ham", "build", "--model", "nope", "--p", "2", "--out", "h.mat"],
+        ["mps", "frob"], ["mps", "normalize", "x.mps", "--out", "y.mps"],
+        ["sym", "dof", "--p", "x", "--kinds", "bitshift"], ["sym", "construct", "--kind", "ti"],
+        ["struct", "classify"], ["struct", "split", "a.mat", "--out-p", "p.mat", "--bogus"],
+    ]
+    helps = [["-h"], *([g, "-h"] for g in VERBS), *([g, v, "-h"] for g, verbs in VERBS.items() for v in verbs)]
+
+    def outcome(parse, argv):
+        try:
+            parse(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    full = build_parser()
+    for group, verbs in VERBS.items():
+        # VERBS is complete: the group's help lists these verbs in this order
+        assert "{" + ",".join(verbs) + "}" in outcome(full.parse_args, [group, "-h"])[1]
+    for argv in helps + usage_errors:
+        want = outcome(full.parse_args, argv)
+        assert want[0] == (0 if argv[-1:] == ["-h"] else 2), argv
+        assert outcome(main, argv) == want, argv
+
+
+def test_cli_huge_site_count_is_refused_without_a_traceback():
+    # a term holds p factor slots, refused by their byte guard before any is built
+    for verb in ("spectrum", "ground", "certify"):
+        run = subprocess.run([sys.executable, "-m", "symtt.cli", "ham", verb, "--model", "hx", "--p", "99999999999"],
+                             env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1 and run.stdout == "", verb
+        assert re.fullmatch(r"error: the factor slots of 99999999999 terms on 99999999999 sites need "
+                            r"79999999998400000000008 bytes, over the MAX_DENSE_BYTES guard of \d+ bytes\n", run.stderr), run.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -204,6 +204,35 @@ def test_tt_svd_peak_is_within_its_guard(rng):
             assert peak <= _TT_SVD_ARRAYS * 16 * 2**p, (p, build)
 
 
+def product_sum(rng, p, terms):
+    """Unit-norm sum of ``terms`` random product states of p qubits: every
+    matricization has rank at most ``terms``."""
+    x = 0
+    for _ in range(terms):
+        v = np.ones(1)
+        for _ in range(p):
+            v = np.kron(v, random_complex(rng, 2))
+        x = x + v
+    return x / np.linalg.norm(x)
+
+
+def test_tt_svd_of_a_low_rank_vector_holds_two_vectors(rng):
+    # a cut holds its input, the scaled vh of the cut before, and its own vh:
+    # two vectors of 2^p entries (tracemalloc does not see LAPACK's work arrays)
+    for p in (16, 18):
+        x = product_sum(rng, p, 4)
+        for build in (from_vector, vidal_from_vector):
+            tracemalloc.start()
+            try:
+                out = build(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            dims = out.dims if build is from_vector else (1, *map(len, out.lambdas), 1)
+            assert max(dims) == 4, (p, build, dims)
+            assert peak <= 2.5 * 16 * 2**p, (p, build, peak / (16 * 2**p))
+
+
 def test_to_vector_matches_eval(rng):
     m = random_mps(rng, 4, 3, boundary="periodic")
     x = to_vector(m)
